@@ -11,10 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
+import resource
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .bpe import load_vocabulary, save_vocabulary, train_merges
@@ -45,6 +48,8 @@ from .rouge import (
 )
 
 VERSION_STRING = f"prefixlm-{__version__}"
+# checkpoints are bit-identical across reruns only at a fixed BLAS thread count
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _now() -> str:
@@ -62,16 +67,14 @@ def _write_manifest(out_path, command: str, inputs: dict, outputs: list,
         "started": started,
         "finished": _now(),
         "version": VERSION_STRING,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas_threads": {v: os.environ.get(v) for v in _BLAS_THREAD_VARS},
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     path = Path(str(out_path) + ".manifest.json")
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-
-
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("PFXLM_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -156,18 +159,12 @@ def cmd_generate(args) -> int:
     gen_config = GenerationConfig(n_hints=args.n_hints,
                                   max_new_tokens=args.max_new_tokens)
 
-    def one(example):
+    rows = []
+    for example in examples:
         hints, _ = split_hint_words(example.target_text, args.n_hints)
         text, _ = generate_greedy(model, example.source_text, hints,
                                   gen_config, tokenizer)
-        return {"pmid": example.pmid, "n_hints": args.n_hints, "output": text}
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, examples))
-    else:
-        rows = [one(e) for e in examples]
+        rows.append({"pmid": example.pmid, "n_hints": args.n_hints, "output": text})
 
     with open(args.out, "w", encoding="utf-8") as f:
         for row in rows:

@@ -1,9 +1,12 @@
 """Greedy autoregressive decoding conditioned on a source and hint prefix.
 
 The generated sequence uses exactly the training layout (source, separator,
-forced hint words, conclusion) and at every step recomputes the full
-forward pass under the prefix mask, taking the argmax token. Ties go to
-the lowest token id; generation stops at end-of-text or the token budget.
+forced hint words, conclusion). The prompt runs through the model once
+under the prefix mask; each new token then adds one row per layer, attending
+over the cached keys and values of every earlier position. Since no
+position attends to a later one, this gives the same logits as re-running
+the full forward pass. The argmax token wins, ties going to the lowest
+token id; generation stops at end-of-text or the token budget.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from .bpe import Tokenizer
 from .finetune import encode_source
-from .model import Model, build_prefix_mask
+from .model import Model
 
 __all__ = ["GenerationConfig", "generate_greedy"]
 
@@ -51,25 +54,25 @@ def generate_greedy(
         )
     source_ids = encode_source(source_text, config.n_hints, tokenizer)
     prefix_ids = tokenizer.encode(" ".join(hint_words)) if hint_words else []
-    m = len(source_ids)
-    if m + len(prefix_ids) >= model.config.max_positions - config.max_new_tokens:
+    prompt = source_ids + prefix_ids
+    # the last new token is emitted, never fed back in
+    length = len(prompt) + config.max_new_tokens - 1
+    if length > model.config.max_positions:
         raise ValueError(
-            f"source+prefix of {m + len(prefix_ids)} tokens leaves no room for "
+            f"source+prefix of {len(prompt)} tokens leaves no room for "
             f"{config.max_new_tokens} new tokens under max_positions "
             f"{model.config.max_positions}"
         )
 
     eot = tokenizer.vocab.end_of_text_id
-    tokens = source_ids + prefix_ids
     trace = list(prefix_ids)
-    for _ in range(config.max_new_tokens):
-        mask = build_prefix_mask(m, len(tokens) - m)
-        logits = model.forward(tokens, mask)
-        next_id = int(np.argmax(logits.data[-1]))  # argmax: lowest id wins ties
+    logits, cache = model.prefill(prompt, len(source_ids), capacity=length)
+    for k in range(config.max_new_tokens):
+        next_id = int(np.argmax(logits))  # argmax: lowest id wins ties
         trace.append(next_id)
-        if next_id == eot:
+        if next_id == eot or k == config.max_new_tokens - 1:
             break
-        tokens.append(next_id)
+        logits = model.step(cache, next_id)
 
     text_ids = [i for i in trace if i != eot]
     return tokenizer.decode(text_ids), trace

@@ -6,6 +6,7 @@ norm applied before each sublayer, residual around both), a final layer
 norm, and a language-model head tied to the token embedding. Attention
 masks are plain float matrices with 0 (visible) and -inf (hidden) entries;
 the causal and prefix builders below cover training and generation.
+Model.prefill and Model.step decode incrementally over a key/value cache.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor import (
+    GraphError,
     ShapeError,
     Tensor,
+    active_tape,
     add,
     concat_cols,
     embedding_rows,
@@ -45,6 +48,7 @@ __all__ = [
     "multi_head_self_attention",
     "ffn",
     "block_forward",
+    "KVCache",
     "init_params",
     "param_count",
     "export_weights",
@@ -224,12 +228,73 @@ def block_forward(
     activation: str = "relu",
 ) -> Tensor:
     """Pre-LN residual block: attention sublayer, then feed-forward sublayer."""
-    attended = multi_head_self_attention(
-        layer_norm(x, block.ln1_gamma, block.ln1_beta, LN_EPS), mask, block, n_heads
+    return _residual_block(
+        x, block, activation, lambda h: multi_head_self_attention(h, mask, block, n_heads)
     )
+
+
+def _residual_block(x: Tensor, block: BlockParams, activation: str, attend) -> Tensor:
+    """The block around an attention sublayer `attend(normalized x)`."""
+    attended = attend(layer_norm(x, block.ln1_gamma, block.ln1_beta, LN_EPS))
     h = add(attended, x)
     fed = ffn(layer_norm(h, block.ln2_gamma, block.ln2_beta, LN_EPS), block, activation)
     return add(fed, h)
+
+
+# ---------------------------------------------------------------------------
+# incremental decoding
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class KVCache:
+    """Keys and values of every layer for the first `length` positions.
+
+    Under the causal and prefix masks no position attends to a later one,
+    so a row's keys and values never change once computed: decoding one
+    more token needs only that token's row in each layer.
+    """
+
+    keys: np.ndarray  # n_layers x n_heads x capacity x d_k
+    values: np.ndarray  # same shape as keys
+    length: int = 0
+
+    @property
+    def capacity(self) -> int:
+        return self.keys.shape[2]
+
+
+def _cached_attention(
+    x: Tensor,
+    block: BlockParams,
+    n_heads: int,
+    cache: KVCache,
+    layer: int,
+    mask: np.ndarray | None = None,
+) -> Tensor:
+    """Multi-head attention for the rows x, which sit at positions
+    cache.length onward, over the cached keys and values plus their own.
+
+    Writes the rows' keys and values into the cache of `layer`; `mask`
+    ([rows x cache.length + rows], or None for all visible) hides entries.
+    Off the tape: the attention itself is plain numpy.
+    """
+    t, d_model = x.shape
+    d_k = d_model // n_heads
+    start, stop = cache.length, cache.length + t
+    # [3, H, t, d_k] view of the fused projection
+    q, k, v = matmul(x, block.attn_qkv).data.reshape(t, 3, n_heads, d_k).transpose(1, 2, 0, 3)
+    cache.keys[layer, :, start:stop] = k
+    cache.values[layer, :, start:stop] = v
+    keys = cache.keys[layer, :, :stop]
+    scores = np.matmul(q, keys.transpose(0, 2, 1)) * np.asarray(
+        1.0 / np.sqrt(d_k), dtype=keys.dtype
+    )
+    if mask is not None:
+        scores += np.asarray(mask, dtype=scores.dtype)
+    weights = softmax_rows(Tensor(scores.reshape(n_heads * t, stop))).data
+    heads = np.matmul(weights.reshape(n_heads, t, stop), cache.values[layer, :, :stop])
+    return matmul(Tensor(heads.transpose(1, 0, 2).reshape(t, d_model)), block.attn_out)
 
 
 class Model:
@@ -239,17 +304,23 @@ class Model:
         self.config = config
         self.params = params
 
-    def embed(self, token_ids) -> Tensor:
+    def embed(self, token_ids, start: int = 0) -> Tensor:
+        """Token plus position embeddings of tokens at positions start onward."""
         token_ids = np.asarray(token_ids, dtype=np.int64)
-        t = token_ids.shape[0]
-        if t > self.config.max_positions:
+        stop = start + token_ids.shape[0]
+        if stop > self.config.max_positions:
             raise ValueError(
-                f"sequence of {t} tokens exceeds max_positions "
+                f"sequence of {stop} tokens exceeds max_positions "
                 f"{self.config.max_positions}"
             )
         tok = embedding_rows(self.params.embed_token, token_ids)
-        pos = slice_rows(self.params.embed_pos, 0, t)
+        pos = slice_rows(self.params.embed_pos, start, stop)
         return add(tok, pos)
+
+    def _head(self, x: Tensor) -> Tensor:
+        """Final layer norm, then the LM head tied to the token embedding."""
+        x = layer_norm(x, self.params.final_ln_gamma, self.params.final_ln_beta, LN_EPS)
+        return matmul(x, transpose(self.params.embed_token))
 
     def forward(self, token_ids, mask: np.ndarray) -> Tensor:
         """Next-token logits [T x vocab_size] under the given attention mask."""
@@ -260,8 +331,46 @@ class Model:
             )
         for block in self.params.blocks:
             x = block_forward(x, mask, block, self.config.n_heads, self.config.activation)
-        x = layer_norm(x, self.params.final_ln_gamma, self.params.final_ln_beta, LN_EPS)
-        return matmul(x, transpose(self.params.embed_token))
+        return self._head(x)
+
+    def prefill(self, token_ids, m: int, capacity: int | None = None):
+        """Run a prompt of m source tokens (then target tokens) once under
+        the prefix mask; returns (next-token logits of its last row, cache).
+
+        The cache holds room for `capacity` positions (default
+        max_positions), so that step() can add capacity - len(token_ids).
+        """
+        t = len(token_ids)
+        capacity = self.config.max_positions if capacity is None else capacity
+        if not t <= capacity <= self.config.max_positions:
+            raise ValueError(
+                f"cache capacity {capacity} must cover the {t}-token prompt and "
+                f"stay within max_positions {self.config.max_positions}"
+            )
+        mask = build_prefix_mask(m, t - m)
+        dtype = self.params.embed_token.dtype
+        shape = (self.config.n_layers, self.config.n_heads, capacity, self.config.d_k)
+        cache = KVCache(np.empty(shape, dtype), np.empty(shape, dtype))
+        logits = self._extend(cache, token_ids, mask)
+        return logits, cache
+
+    def step(self, cache: KVCache, token_id: int) -> np.ndarray:
+        """Append one token after the cached positions; its next-token logits."""
+        if cache.length >= cache.capacity:
+            raise ValueError(f"cache is full at {cache.capacity} positions")
+        return self._extend(cache, [token_id], None)
+
+    def _extend(self, cache: KVCache, token_ids, mask) -> np.ndarray:
+        if active_tape() is not None:
+            raise GraphError("incremental decoding runs outside any tape")
+        x = self.embed(token_ids, cache.length)
+        for layer, block in enumerate(self.params.blocks):
+            x = _residual_block(
+                x, block, self.config.activation,
+                lambda h: _cached_attention(h, block, self.config.n_heads, cache, layer, mask),
+            )
+        cache.length += len(token_ids)
+        return self._head(slice_rows(x, x.shape[0] - 1, x.shape[0])).data[0]
 
 
 # ---------------------------------------------------------------------------

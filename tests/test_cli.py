@@ -81,6 +81,20 @@ def test_preprocess_writes_examples_and_manifest(tmp_path, corpus_file, capsys):
     assert "examples" in capsys.readouterr().out
 
 
+def test_manifest_records_environment(tmp_path, corpus_file, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    _preprocess(tmp_path, corpus_file)
+    manifest = json.loads((tmp_path / "examples.jsonl.manifest.json").read_text())
+    assert manifest["python"].count(".") == 2
+    assert manifest["numpy"]
+    threads = manifest["blas_threads"]
+    assert set(threads) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert threads["OPENBLAS_NUM_THREADS"] == "1"
+    assert threads["MKL_NUM_THREADS"] is None
+    assert manifest["peak_rss_mb"] > 0
+
+
 def test_preprocess_results_only_ablation(tmp_path, corpus_file):
     code, out = _preprocess(tmp_path, corpus_file, sections="results")
     assert code == 0
@@ -208,23 +222,6 @@ def test_eval_aggregate_tables(tmp_path, capsys):
 
 def test_eval_aggregate_requires_an_input(tmp_path):
     assert main(["eval-aggregate", "--out", str(tmp_path / "r.txt")]) == 2
-
-
-def test_generate_respects_thread_env(tmp_path, corpus_file, monkeypatch):
-    _, examples = _preprocess(tmp_path, corpus_file)
-    _, vocab, merges = _train_tokenizer(tmp_path, examples)
-    cfg = _write_config(tmp_path, examples, vocab, merges, steps=1)
-    assert main(["finetune", "--config", str(cfg)]) == 0
-    monkeypatch.setenv("PFXLM_THREADS", "2")
-    seq = tmp_path / "seq.jsonl"
-    monkeypatch.setenv("PFXLM_THREADS", "1")
-    assert main(["generate", "--config", str(cfg), "--examples", str(examples),
-                 "--n-hints", "0", "--max-new-tokens", "5", "--out", str(seq)]) == 0
-    monkeypatch.setenv("PFXLM_THREADS", "2")
-    par = tmp_path / "par.jsonl"
-    assert main(["generate", "--config", str(cfg), "--examples", str(examples),
-                 "--n-hints", "0", "--max-new-tokens", "5", "--out", str(par)]) == 0
-    assert seq.read_text() == par.read_text()
 
 
 def test_finetune_resumes_from_checkpoint(tmp_path, corpus_file, capsys):

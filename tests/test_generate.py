@@ -82,6 +82,20 @@ def test_source_too_long_rejected(model, tok):
         generate_greedy(model, SOURCE, [], config, tok)
 
 
+def test_exact_fit_accepted_one_more_rejected(model, tok):
+    # the last new token is never fed back, so prompt + budget - 1 positions
+    prompt = len(encode_source(SOURCE, 0, tok))
+    budget = model.config.max_positions - prompt + 1
+    _, trace = generate_greedy(
+        model, SOURCE, [], GenerationConfig(n_hints=0, max_new_tokens=budget), tok
+    )
+    assert 1 <= len(trace) <= budget
+    with pytest.raises(ValueError, match="max_positions"):
+        generate_greedy(
+            model, SOURCE, [], GenerationConfig(n_hints=0, max_new_tokens=budget + 1), tok
+        )
+
+
 def test_generation_config_validation():
     with pytest.raises(ValueError):
         GenerationConfig(n_hints=0, max_new_tokens=0)

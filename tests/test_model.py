@@ -21,7 +21,7 @@ from prefixlm.model import (
     read_tensor_map,
     write_tensor_map,
 )
-from prefixlm.tensor import ComputationTape, Tensor, backward, cross_entropy
+from prefixlm.tensor import ComputationTape, GraphError, Tensor, backward, cross_entropy
 
 NEG_INF = float("-inf")
 
@@ -391,6 +391,31 @@ def test_prefix_target_logits_depend_on_every_source_token():
         b = m.forward(perturbed, mask).data
         for j in range(3, 6):
             assert not np.array_equal(a[j], b[j])
+
+
+# m source tokens, then n_hints forced target tokens in the prompt; every
+# sequence runs to exactly max_positions
+@pytest.mark.parametrize("m, n_hints", [(5, 0), (5, 1), (5, 2), (1, 0), (1, 2)])
+@pytest.mark.parametrize("activation", ["relu", "gelu"])
+def test_cached_decoding_matches_full_forward(activation, m, n_hints):
+    config = ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=16, vocab_size=16,
+                         max_positions=12, activation=activation)
+    params = init_params(config, seed=31, dtype=np.float64)
+    rng = np.random.default_rng(32)
+    for _, p in params.named():  # weights far from init, so every term matters
+        p.data = p.data + rng.normal(0.0, 0.5, size=p.shape)
+    model = Model(config, params)
+    tokens = [int(i) for i in rng.integers(0, 16, size=config.max_positions)]
+    full = model.forward(tokens, build_prefix_mask(m, len(tokens) - m)).data
+
+    prompt = m + n_hints
+    logits, cache = model.prefill(tokens[:prompt], m)
+    rows = [logits] + [model.step(cache, tok) for tok in tokens[prompt:]]
+    np.testing.assert_allclose(np.array(rows), full[prompt - 1:], rtol=0, atol=1e-5)
+    with pytest.raises(ValueError, match="cache is full"):
+        model.step(cache, tokens[0])
+    with ComputationTape(), pytest.raises(GraphError):
+        model.prefill(tokens[:prompt], m)
 
 
 def test_full_tiny_model_gradcheck_vs_finite_differences():

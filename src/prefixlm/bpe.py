@@ -3,12 +3,20 @@
 Text is pre-segmented into letter runs, digit runs, whitespace runs and
 punctuation runs before any merging, with one leading space allowed to
 attach to the following run; merges never cross unit boundaries, so no
-token ever mixes letters and digits. All 256 single bytes are always in
-the vocabulary, which makes every byte string encodable.
+token ever mixes letters and digits. Segmentation maps each character to
+a one-letter category code and splits the code string with one regular
+expression. All 256 single bytes are always in the vocabulary, which
+makes every byte string encodable.
+
+Merge training counts pairs once and then updates the counts of only the
+words a merge touches, so a merge costs time in proportion to the words
+holding its pair, not to the whole corpus.
 """
 
 from __future__ import annotations
 
+import heapq
+import re
 import unicodedata
 from collections import Counter
 from pathlib import Path
@@ -95,40 +103,38 @@ class MergeTable:
         return len(self.pairs)
 
 
-def _char_category(ch: str) -> str:
+def _category_code(ch: str) -> str:
+    """One-letter category: S the space character itself, s other
+    whitespace, l letter, d digit, o anything else."""
+    if ch == " ":
+        return "S"
     if ch.isspace():
-        return "space"
-    cat = unicodedata.category(ch)
-    if cat.startswith("L"):
-        return "letter"
-    if cat.startswith("N"):
-        return "digit"
-    return "other"
+        return "s"
+    return {"L": "l", "N": "d"}.get(unicodedata.category(ch)[0], "o")
+
+
+# Built once: the first 256 code points cover ASCII and Latin-1 text.
+_LATIN1_CODES = {o: _category_code(chr(o)) for o in range(256)}
+
+# A letter, digit or other run takes one directly preceding space with it;
+# a whitespace run gives up its last char when that is a space followed by
+# a non-space run.
+_UNIT = re.compile(r"S?l+|S?d+|S?o+|[sS]+?(?=S[ldo])|[sS]+")
 
 
 def _segment(text: str):
     """Split into category runs, attaching a single leading space to each run."""
-    runs = []  # (category, [chars])
-    for ch in text:
-        cat = _char_category(ch)
-        if runs and runs[-1][0] == cat:
-            runs[-1][1].append(ch)
-        else:
-            runs.append((cat, [ch]))
+    codes = text.translate(_LATIN1_CODES)
+    if not codes.isascii():  # classify each distinct code point above 255 once
+        codes = codes.translate(
+            {ord(ch): _category_code(ch) for ch in set(codes) if not ch.isascii()}
+        )
     units = []
-    for cat, chars in runs:
-        if (
-            cat != "space"
-            and units
-            and units[-1][0] == "space"
-            and units[-1][1][-1] == " "
-        ):
-            trailing = units[-1][1].pop()
-            chars.insert(0, trailing)
-            if not units[-1][1]:
-                units.pop()
-        units.append((cat, chars))
-    return ["".join(chars) for _, chars in units]
+    start = 0
+    for run in _UNIT.findall(codes):  # one code per char, so lengths carry over
+        units.append(text[start : start + len(run)])
+        start += len(run)
+    return units
 
 
 def _merge_word(word, pair):
@@ -206,8 +212,13 @@ class Tokenizer:
 def train_merges(corpus, num_merges: int) -> Tokenizer:
     """Learn `num_merges` greedy highest-frequency merges from `corpus`.
 
-    Ties go to the lexicographically smallest pair. Stops early when no
-    adjacent pair is left to merge.
+    Each distinct unit is a word weighted by its count; every adjacent pair
+    counts, overlapping ones too (`aaa` holds two `(a, a)`). Pair counts are
+    built once and kept with an index from each pair to the words holding
+    it; a merge re-merges only those words, subtracting their old pairs and
+    adding their new ones. The best pair comes from a heap of `(-count,
+    pair)` entries, stale ones skipped, so ties go to the lexicographically
+    smallest pair. Stops early when no adjacent pair is left to merge.
     """
     if num_merges < 0:
         raise ValueError("num_merges must be >= 0")
@@ -215,29 +226,60 @@ def train_merges(corpus, num_merges: int) -> Tokenizer:
     if not texts:
         raise ValueError("training corpus is empty")
 
-    unit_counts: Counter[bytes] = Counter()
+    text_units: Counter[str] = Counter()
     for text in texts:
         decoded = (
             text.decode("utf-8", errors="surrogateescape")
             if isinstance(text, bytes)
             else text
         )
-        for unit in _segment(decoded):
-            unit_counts[unit.encode("utf-8", errors="surrogateescape")] += 1
+        text_units.update(_segment(decoded))
+    unit_counts: Counter[bytes] = Counter()
+    for unit, n in text_units.items():
+        unit_counts[unit.encode("utf-8", errors="surrogateescape")] += n
 
-    words = {unit: [bytes([b]) for b in unit] for unit in unit_counts}
+    words = [[bytes([b]) for b in unit] for unit in unit_counts]
+    weights = list(unit_counts.values())
+    pair_counts: Counter = Counter()
+    where: dict[tuple, set[int]] = {}  # pair -> indices of the words holding it
+    for i, toks in enumerate(words):
+        for pair in zip(toks, toks[1:]):
+            pair_counts[pair] += weights[i]
+            where.setdefault(pair, set()).add(i)
+    heap = [(-n, pair) for pair, n in pair_counts.items()]
+    heapq.heapify(heap)
+
     merges = []
-    for _ in range(num_merges):
-        pair_counts: Counter = Counter()
-        for unit, toks in words.items():
-            n = unit_counts[unit]
-            for pair in zip(toks, toks[1:]):
-                pair_counts[pair] += n
-        if not pair_counts:
-            break
-        best = min(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+    while len(merges) < num_merges and heap:
+        neg, best = heapq.heappop(heap)
+        if pair_counts.get(best) != -neg:
+            continue  # stale: the count changed after this entry was pushed
         merges.append(best)
-        words = {unit: _merge_word(toks, best) for unit, toks in words.items()}
+        delta: dict[tuple, int] = {}  # a plain dict: Counter's misses are slow
+        for i in where.pop(best):
+            old = words[i]
+            new = words[i] = _merge_word(old, best)
+            old_pairs, new_pairs = list(zip(old, old[1:])), list(zip(new, new[1:]))
+            w = weights[i]
+            for pair in old_pairs:
+                delta[pair] = delta.get(pair, 0) - w
+            for pair in new_pairs:
+                delta[pair] = delta.get(pair, 0) + w
+            for pair in set(old_pairs).difference(new_pairs):
+                if pair != best:
+                    where[pair].discard(i)
+            for pair in set(new_pairs).difference(old_pairs):
+                where.setdefault(pair, set()).add(i)
+        for pair, change in delta.items():
+            if not change:
+                continue
+            n = pair_counts[pair] + change
+            if n:
+                pair_counts[pair] = n
+                heapq.heappush(heap, (-n, pair))
+            else:
+                del pair_counts[pair]
+                where.pop(pair, None)
 
     tokens = [bytes([b]) for b in range(256)]
     seen = set(tokens)

@@ -11,6 +11,8 @@ Model.prefill and Model.step decode incrementally over a key/value cache.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -449,25 +451,28 @@ def write_tensor_map(path, items, meta_step: int | None = None):
             f.write(f"meta\t{meta_step}\n".encode())
 
 
-def _read_line(f) -> bytes:
-    chunks = bytearray()
-    while True:
-        b = f.read(1)
-        if not b:
-            break
-        if b == b"\n":
-            return bytes(chunks)
-        chunks.extend(b)
-    if chunks:
-        return bytes(chunks)
-    raise WeightFileError("unexpected end of file")
+_MAX_LINE = 1 << 16  # header, tensor and meta lines are far shorter
+
+
+def _read_line(f, path) -> bytes:
+    line = f.readline(_MAX_LINE + 1)
+    if not line:
+        raise WeightFileError(f"{path}: unexpected end of file")
+    if len(line) > _MAX_LINE:
+        raise WeightFileError(f"{path}: line longer than {_MAX_LINE} bytes")
+    return line.removesuffix(b"\n")
 
 
 def read_tensor_map(path):
-    """Inverse of write_tensor_map: ({name: float32 array}, meta step or None)."""
+    """Inverse of write_tensor_map: ({name: float32 array}, meta step or None).
+
+    Every read is bounded by the bytes left in the file, so a corrupt header
+    fails with WeightFileError instead of asking for a huge allocation.
+    """
     tensors: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
-        header = _read_line(f).split(b" ")
+        size = os.fstat(f.fileno()).st_size
+        header = _read_line(f, path).split(b" ")
         if len(header) != 2 or header[0] != _MAGIC:
             raise WeightFileError(f"{path}: bad header (expected {_MAGIC.decode()})")
         try:
@@ -475,7 +480,10 @@ def read_tensor_map(path):
         except ValueError as e:
             raise WeightFileError(f"{path}: bad tensor count") from e
         for _ in range(count):
-            fields = _read_line(f).decode("utf-8").split("\t")
+            try:
+                fields = _read_line(f, path).decode("utf-8").split("\t")
+            except UnicodeDecodeError as e:
+                raise WeightFileError(f"{path}: tensor line is not UTF-8") from e
             if len(fields) != 3:
                 raise WeightFileError(f"{path}: malformed tensor line {fields!r}")
             name, rank_s, dims_s = fields
@@ -484,20 +492,29 @@ def read_tensor_map(path):
                 dims = tuple(int(x) for x in dims_s.split()) if dims_s else ()
             except ValueError as e:
                 raise WeightFileError(f"{path}: bad dims for {name!r}") from e
-            if len(dims) != rank:
-                raise WeightFileError(f"{path}: rank/dims mismatch for {name!r}")
-            n = int(np.prod(dims)) if dims else 1
-            payload = f.read(4 * n)
-            if len(payload) != 4 * n:
+            if len(dims) != rank or any(d < 0 for d in dims):
+                raise WeightFileError(f"{path}: bad dims {dims} for {name!r}")
+            nbytes = 4 * math.prod(dims)
+            left = size - f.tell()
+            if nbytes > left:
+                raise WeightFileError(
+                    f"{path}: truncated payload for {name!r}: "
+                    f"{nbytes} bytes needed, {left} left"
+                )
+            payload = f.read(nbytes)
+            if len(payload) != nbytes:
                 raise WeightFileError(f"{path}: truncated payload for {name!r}")
             tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
         meta_step = None
-        trailer = f.read()
+        trailer = f.read(_MAX_LINE + 1)
         if trailer:
             fields = trailer.rstrip(b"\n").split(b"\t")
-            if len(fields) != 2 or fields[0] != b"meta":
+            if len(trailer) > _MAX_LINE or len(fields) != 2 or fields[0] != b"meta":
                 raise WeightFileError(f"{path}: unexpected trailing data")
-            meta_step = int(fields[1])
+            try:
+                meta_step = int(fields[1])
+            except ValueError as e:
+                raise WeightFileError(f"{path}: bad meta step {fields[1]!r}") from e
     return tensors, meta_step
 
 

@@ -198,13 +198,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
+    """The transposed view of a [m x n]; shares memory with its operand."""
     if a.ndim != 2:
         raise ShapeError(f"transpose needs a 2-d operand, got {a.shape}")
 
     def bw(g):
         _accumulate(a, g.T)
 
-    return _wrap(a.data.T.copy(), (a,), bw)
+    return _wrap(a.data.T, (a,), bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

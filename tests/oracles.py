@@ -1,9 +1,12 @@
 """Independent oracles shared across the test suite.
 
-Nothing in here touches the library's backward pass or its dynamic
-programming; these exist so the tests can check the fast paths against
+Nothing in here touches the library's backward pass, its dynamic
+programming or its tokenizer; these exist so the tests can check the fast paths against
 slow, obviously-correct computations.
 """
+
+import unicodedata
+from collections import Counter
 
 import numpy as np
 
@@ -56,3 +59,81 @@ def brute_force_lcs(xs, ys):
                 best = k
                 break
     return best
+
+
+def _char_category(ch: str) -> str:
+    if ch.isspace():
+        return "space"
+    cat = unicodedata.category(ch)
+    if cat.startswith("L"):
+        return "letter"
+    if cat.startswith("N"):
+        return "digit"
+    return "other"
+
+
+def reference_segment(text: str):
+    """Category runs, char by char, with one leading space moved onto each
+    non-space run that directly follows a run ending in a space."""
+    runs = []  # (category, [chars])
+    for ch in text:
+        cat = _char_category(ch)
+        if runs and runs[-1][0] == cat:
+            runs[-1][1].append(ch)
+        else:
+            runs.append((cat, [ch]))
+    units = []
+    for cat, chars in runs:
+        if (
+            cat != "space"
+            and units
+            and units[-1][0] == "space"
+            and units[-1][1][-1] == " "
+        ):
+            trailing = units[-1][1].pop()
+            chars.insert(0, trailing)
+            if not units[-1][1]:
+                units.pop()
+        units.append((cat, chars))
+    return ["".join(chars) for _, chars in units]
+
+
+def _merge_word(word, pair):
+    merged = pair[0] + pair[1]
+    out = []
+    i = 0
+    while i < len(word):
+        if i + 1 < len(word) and word[i] == pair[0] and word[i + 1] == pair[1]:
+            out.append(merged)
+            i += 2
+        else:
+            out.append(word[i])
+            i += 1
+    return out
+
+
+def reference_merges(corpus, num_merges):
+    """Greedy BPE merge list, recounting every pair of every unit per merge.
+
+    Highest count first, ties to the lexicographically smallest pair; stops
+    early when no adjacent pair is left. O(merges x units).
+    """
+    unit_counts = Counter()
+    for text in corpus:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8", errors="surrogateescape")
+        for unit in reference_segment(text):
+            unit_counts[unit.encode("utf-8", errors="surrogateescape")] += 1
+    words = {unit: [bytes([b]) for b in unit] for unit in unit_counts}
+    merges = []
+    for _ in range(num_merges):
+        pair_counts = Counter()
+        for unit, toks in words.items():
+            for pair in zip(toks, toks[1:]):
+                pair_counts[pair] += unit_counts[unit]
+        if not pair_counts:
+            break
+        best = min(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+        merges.append(best)
+        words = {unit: _merge_word(toks, best) for unit, toks in words.items()}
+    return merges

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import reference_merges, reference_segment
 from prefixlm.bpe import (
     END_OF_TEXT,
     SEPARATOR,
@@ -10,6 +11,7 @@ from prefixlm.bpe import (
     Vocabulary,
     VocabularyError,
     load_vocabulary,
+    _segment,
     save_vocabulary,
     train_merges,
 )
@@ -175,6 +177,57 @@ def test_empty_corpus_rejected():
 def test_negative_merges_rejected():
     with pytest.raises(ValueError):
         train_merges(["a"], -1)
+
+
+# ---------------------------------------------------------------------------
+# the fast paths against the char-by-char and recount-everything references
+# ---------------------------------------------------------------------------
+
+# spaces, other whitespace (tab, no-break space, \x1c), letters, digits
+# (ASCII and Arabic-Indic), punctuation, a lone surrogate and an emoji
+TRICKY_CHARS = " \t\u00a0\x1caZ\u00e91\u0663.-\udc80\U0001f600"
+
+
+@given(st.one_of(st.text(), st.text(alphabet=TRICKY_CHARS)))
+@settings(max_examples=500, deadline=None)
+def test_segment_matches_reference(text):
+    assert _segment(text) == reference_segment(text)
+
+
+# bytes of the same kinds, whole and split UTF-8 sequences among them
+TRICKY_BYTES = st.lists(
+    st.sampled_from([b" ", b"\t", b"a", b"1", b".", b"\xc3\xa9", b"\xc3", b"\xff"])
+).map(b"".join)
+
+
+@given(st.one_of(st.binary(), TRICKY_BYTES))
+@settings(max_examples=300, deadline=None)
+def test_segment_matches_reference_on_escaped_bytes(data):
+    text = data.decode("utf-8", errors="surrogateescape")
+    assert _segment(text) == reference_segment(text)
+
+
+# few symbols, so counts tie and runs like "aaaa" overlap
+small_corpus = st.lists(st.text(alphabet="aab 1.", max_size=12), min_size=1, max_size=6)
+merge_counts = st.sampled_from([0, 1, 3, 8, 40])
+
+
+@given(small_corpus, merge_counts)
+@settings(max_examples=300, deadline=None)
+def test_train_merges_matches_reference(corpus, k):
+    assert train_merges(corpus, k).merges.pairs == reference_merges(corpus, k)
+
+
+@given(st.lists(st.binary(max_size=16), min_size=1, max_size=6), merge_counts)
+@settings(max_examples=200, deadline=None)
+def test_train_merges_matches_reference_on_bytes(corpus, k):
+    assert train_merges(corpus, k).merges.pairs == reference_merges(corpus, k)
+
+
+def test_overlapping_pairs_each_count():
+    # "bbbb" holds three (b, b); counted without overlap it would hold two
+    # and lose the tie against (a, b)
+    assert train_merges(["bbbb", "ab", "ab"], 1).merges.pairs == [(b"b", b"b")]
 
 
 # ---------------------------------------------------------------------------

@@ -570,3 +570,22 @@ def test_tensor_map_truncated_payload(tmp_path):
     path.write_bytes(b"PFXLM1 1\na\t1\t4\n\x00\x00")
     with pytest.raises(WeightFileError, match="truncated"):
         read_tensor_map(path)
+
+
+def test_tensor_map_huge_dims_fail_fast(tmp_path):
+    # 10^12 elements would be a 4 TB read; the bytes left in the file bound it
+    path = tmp_path / "map.bin"
+    path.write_bytes(b"PFXLM1 1\na\t2\t1000000 1000000\n" + bytes(16))
+    with pytest.raises(WeightFileError, match="truncated") as err:
+        read_tensor_map(path)
+    assert str(path) in str(err.value)
+
+
+def test_tensor_map_bad_meta_step(tmp_path):
+    path = tmp_path / "map.bin"
+    write_tensor_map(path, [("a", np.zeros(2, dtype=np.float32))])
+    with open(path, "ab") as f:
+        f.write(b"meta\tx\n")
+    with pytest.raises(WeightFileError, match="meta") as err:
+        read_tensor_map(path)
+    assert str(path) in str(err.value)

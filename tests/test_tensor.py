@@ -63,6 +63,13 @@ def test_matmul_shape_mismatch():
         matmul(t64(np.zeros((2, 3))), t64(np.zeros((2, 3))))
 
 
+def test_transpose_is_a_view_of_its_operand():
+    a = t64(np.arange(6.0).reshape(2, 3))
+    out = transpose(a)
+    np.testing.assert_array_equal(out.data, a.data.T)
+    assert np.shares_memory(out.data, a.data)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_matmul_associativity_small_integers(seed):

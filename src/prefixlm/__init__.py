@@ -41,8 +41,6 @@ from .model import (  # noqa: F401
     ModelParams,
     build_causal_mask,
     build_prefix_mask,
-    export_weights,
-    import_weights,
     init_params,
     param_count,
 )

@@ -26,6 +26,7 @@ from .data import (
     corpus_stats,
     parse_corpus,
     read_examples_jsonl,
+    read_jsonl,
     write_examples_jsonl,
 )
 from .finetune import (
@@ -35,7 +36,7 @@ from .finetune import (
     split_hint_words,
 )
 from .generate import GenerationConfig, generate_greedy
-from .model import Model, ModelConfig
+from .model import Model
 from .rouge import (
     aggregate_annotations,
     aggregate_ratings,
@@ -137,15 +138,7 @@ def cmd_finetune(args) -> int:
 
 def _model_from_config(cfg, checkpoint_path):
     tokenizer = load_vocabulary(cfg.vocab_file, cfg.merges_file)
-    config = ModelConfig(
-        n_layers=cfg.n_layers,
-        d_model=cfg.d_model,
-        n_heads=cfg.n_heads,
-        d_ff=cfg.d_ff,
-        vocab_size=len(tokenizer.vocab),
-        max_positions=cfg.max_positions,
-        activation=cfg.activation,
-    )
+    config = cfg.model_config(len(tokenizer.vocab))
     params = load_model_weights(checkpoint_path, config)
     return Model(config, params), tokenizer
 
@@ -180,17 +173,7 @@ def cmd_generate(args) -> int:
 
 
 def _read_generated(path):
-    rows = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                rows.append((obj["pmid"], obj["output"], int(obj["n_hints"])))
-            except (json.JSONDecodeError, KeyError) as e:
-                raise ValueError(f"{path}:{lineno}: bad generated line: {e}") from e
-    return rows
+    return read_jsonl(path, {"pmid": str, "output": str, "n_hints": int})
 
 
 def cmd_score(args) -> int:

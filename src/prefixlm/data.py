@@ -23,6 +23,7 @@ __all__ = [
     "build_examples",
     "corpus_stats",
     "write_examples_jsonl",
+    "read_jsonl",
     "read_examples_jsonl",
 ]
 
@@ -56,8 +57,10 @@ def parse_corpus(source) -> list[RctAbstract]:
     """Parse a corpus file (path or iterable of lines) into abstracts."""
     if isinstance(source, (str, Path)):
         lines = Path(source).read_text(encoding="utf-8").splitlines()
+        where = f"{source}:"
     else:
         lines = [line.rstrip("\n") for line in source]
+        where = "line "
 
     abstracts: list[RctAbstract] = []
     current: RctAbstract | None = None
@@ -67,7 +70,7 @@ def parse_corpus(source) -> list[RctAbstract]:
         if current is not None:
             if not current.sentences:
                 raise CorpusParseError(
-                    f"line {record_line}: record {current.pmid!r} has no sentences"
+                    f"{where}{record_line}: record {current.pmid!r} has no sentences"
                 )
             abstracts.append(current)
 
@@ -80,13 +83,13 @@ def parse_corpus(source) -> list[RctAbstract]:
             record_line = lineno
             continue
         if current is None:
-            raise CorpusParseError(f"line {lineno}: sentence before any ### record")
+            raise CorpusParseError(f"{where}{lineno}: sentence before any ### record")
         label, sep, text = line.partition("\t")
         if not sep:
-            raise CorpusParseError(f"line {lineno}: expected <LABEL><TAB><text>")
+            raise CorpusParseError(f"{where}{lineno}: expected <LABEL><TAB><text>")
         label = label.strip().upper()
         if label not in LABELS:
-            raise CorpusParseError(f"line {lineno}: unknown label {label!r}")
+            raise CorpusParseError(f"{where}{lineno}: unknown label {label!r}")
         current.sentences.append((label, text))
     finish()
     return abstracts
@@ -203,22 +206,32 @@ def write_examples_jsonl(examples, path):
             )
 
 
-def read_examples_jsonl(path) -> list[RctExample]:
-    examples = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
+def read_jsonl(path, schema: dict, error=ValueError) -> list[tuple]:
+    """The fields named by `schema` ({key: type}) of every nonblank line of a
+    JSONL file, one tuple per line; a line that is not a JSON object with
+    fields of those types raises `error` naming path:line."""
+    rows = []
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 obj = json.loads(line)
-                examples.append(
-                    RctExample(
-                        pmid=obj["pmid"],
-                        source_text=obj["source"],
-                        target_text=obj["target"],
-                        sections_used=tuple(obj["sections_used"]),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError) as e:
-                raise CorpusParseError(f"{path}:{lineno}: bad example line: {e}") from e
-    return examples
+                if not isinstance(obj, dict):
+                    raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+                for key, kind in schema.items():
+                    if not isinstance(obj.get(key), kind):
+                        raise TypeError(f"{key!r} is missing or not a {kind.__name__}")
+            except (ValueError, TypeError, RecursionError) as e:
+                raise error(f"{path}:{lineno}: bad line: {e}") from e
+            rows.append(tuple(obj[key] for key in schema))
+    return rows
+
+
+def read_examples_jsonl(path) -> list[RctExample]:
+    schema = {"pmid": str, "source": str, "target": str, "sections_used": list}
+    return [
+        RctExample(pmid, source, target, tuple(sections))
+        for pmid, source, target, sections in read_jsonl(path, schema, CorpusParseError)
+    ]

@@ -195,32 +195,32 @@ def save_checkpoint(path, params: ModelParams, state: OptimizerState, step: int)
     write_tensor_map(path, items, meta_step=step)
 
 
+def _read_params(path, config: ModelConfig, dtype):
+    """Validated params of a weights file or checkpoint, plus its optimizer
+    tensors ({name: array}) and meta step."""
+    tensors, step = read_tensor_map(path)
+    optimizer = {n: tensors.pop(n) for n in list(tensors) if n.startswith("optimizer.")}
+    return params_from_tensors(tensors, config, dtype=dtype, source=str(path)), optimizer, step
+
+
 def load_model_weights(path, config: ModelConfig, dtype=np.float32) -> ModelParams:
     """Model params from a weights file or checkpoint (optimizer state ignored)."""
-    tensors, _ = read_tensor_map(path)
-    model_only = {
-        name: arr for name, arr in tensors.items() if not name.startswith("optimizer.")
-    }
-    return params_from_tensors(model_only, config, dtype=dtype, source=str(path))
+    return _read_params(path, config, dtype)[0]
 
 
 def load_checkpoint(path, config: ModelConfig, state: OptimizerState, dtype=np.float32):
     """Restore (params, step) and refill state.velocity from a checkpoint."""
-    tensors, step = read_tensor_map(path)
+    params, optimizer, step = _read_params(path, config, dtype)
     if step is None:
         raise ValueError(f"{path}: checkpoint is missing its meta step line")
-    model_only = {
-        name: arr for name, arr in tensors.items() if not name.startswith("optimizer.")
-    }
-    params = params_from_tensors(model_only, config, dtype=dtype, source=str(path))
     state.velocity = {}
     for name, p in params.named():
         key = f"optimizer.{name}.velocity"
-        if key not in tensors:
+        if key not in optimizer:
             raise ValueError(f"{path}: checkpoint is missing {key!r}")
-        if tensors[key].shape != p.shape:
+        if optimizer[key].shape != p.shape:
             raise ValueError(f"{path}: velocity shape mismatch for {name!r}")
-        state.velocity[name] = tensors[key].astype(dtype)
+        state.velocity[name] = optimizer[key].astype(dtype)
     return params, step
 
 
@@ -256,6 +256,13 @@ class TrainingConfig:
     activation: str = "relu"
     loss_log: str = ""
 
+    def model_config(self, vocab_size: int) -> ModelConfig:
+        """The architecture these keys describe, for a vocabulary size."""
+        dims = {
+            f.name: getattr(self, f.name) for f in fields(ModelConfig) if f.name != "vocab_size"
+        }
+        return ModelConfig(vocab_size=vocab_size, **dims)
+
 
 def parse_training_config(path) -> TrainingConfig:
     """Read a key=value (UTF-8, # comments) training config file."""
@@ -279,27 +286,13 @@ def parse_training_config(path) -> TrainingConfig:
             raise ConfigError(f"{path}: missing config key {f.name!r}")
         value = raw.pop(f.name)
         try:
-            kwargs[f.name] = _cast(f.name, value)
+            # annotations are strings here (postponed evaluation)
+            kwargs[f.name] = {"int": int, "float": float}.get(f.type, str)(value)
         except ValueError as e:
             raise ConfigError(f"{path}: bad value for {f.name!r}: {value!r}") from e
     if raw:
         raise ConfigError(f"{path}: unknown config key {sorted(raw)[0]!r}")
     return TrainingConfig(**kwargs)
-
-
-_INT_KEYS = {
-    "seed", "n_hints", "batch_size", "steps", "max_len", "checkpoint_every",
-    "n_layers", "d_model", "n_heads", "d_ff", "max_positions",
-}
-_FLOAT_KEYS = {"lr", "momentum", "weight_decay"}
-
-
-def _cast(name: str, value: str):
-    if name in _INT_KEYS:
-        return int(value)
-    if name in _FLOAT_KEYS:
-        return float(value)
-    return value
 
 
 def run_finetune(cfg: TrainingConfig, log=None):
@@ -318,16 +311,15 @@ def run_finetune(cfg: TrainingConfig, log=None):
     )
     if not encoded:
         raise ValueError("every example was dropped by the length filter")
+    longest = max(map(len, encoded))
+    if longest > cfg.max_positions:
+        raise ConfigError(
+            f"max_len {cfg.max_len} keeps an example of {longest} tokens, more than "
+            f"max_positions {cfg.max_positions}; lower max_len to at most "
+            f"{cfg.max_positions + 1}"
+        )
 
-    config = ModelConfig(
-        n_layers=cfg.n_layers,
-        d_model=cfg.d_model,
-        n_heads=cfg.n_heads,
-        d_ff=cfg.d_ff,
-        vocab_size=len(tokenizer.vocab),
-        max_positions=cfg.max_positions,
-        activation=cfg.activation,
-    )
+    config = cfg.model_config(len(tokenizer.vocab))
     state = OptimizerState(lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
 
     start_step = 0

@@ -11,6 +11,7 @@ Model.prefill and Model.step decode incrementally over a key/value cache.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass, field
@@ -51,10 +52,9 @@ __all__ = [
     "ffn",
     "block_forward",
     "KVCache",
+    "param_spec",
     "init_params",
     "param_count",
-    "export_weights",
-    "import_weights",
     "params_from_tensors",
     "write_tensor_map",
     "read_tensor_map",
@@ -102,6 +102,22 @@ class ModelConfig:
         return self.d_model // self.n_heads
 
 
+# One row per block tensor, in file order: attribute, file name, shape from
+# (d_model, d_ff), and init (normal draws, ones or zeros).
+_BLOCK_TENSORS = (
+    ("ln1_gamma", "ln1.weight", lambda d, h: (d,), "ones"),
+    ("ln1_beta", "ln1.bias", lambda d, h: (d,), "zeros"),
+    ("attn_qkv", "attn_qkv.weight", lambda d, h: (d, 3 * d), "normal"),
+    ("attn_out", "attn_out.weight", lambda d, h: (d, d), "normal"),
+    ("ln2_gamma", "ln2.weight", lambda d, h: (d,), "ones"),
+    ("ln2_beta", "ln2.bias", lambda d, h: (d,), "zeros"),
+    ("ffn_w1", "ffn_w1.weight", lambda d, h: (d, h), "normal"),
+    ("ffn_b1", "ffn_b1.bias", lambda d, h: (h,), "zeros"),
+    ("ffn_w2", "ffn_w2.weight", lambda d, h: (h, d), "normal"),
+    ("ffn_b2", "ffn_b2.bias", lambda d, h: (d,), "zeros"),
+)
+
+
 @dataclass
 class BlockParams:
     ln1_gamma: Tensor
@@ -116,16 +132,8 @@ class BlockParams:
     ffn_b2: Tensor
 
     def named(self, prefix: str):
-        yield f"{prefix}.ln1.weight", self.ln1_gamma
-        yield f"{prefix}.ln1.bias", self.ln1_beta
-        yield f"{prefix}.attn_qkv.weight", self.attn_qkv
-        yield f"{prefix}.attn_out.weight", self.attn_out
-        yield f"{prefix}.ln2.weight", self.ln2_gamma
-        yield f"{prefix}.ln2.bias", self.ln2_beta
-        yield f"{prefix}.ffn_w1.weight", self.ffn_w1
-        yield f"{prefix}.ffn_b1.bias", self.ffn_b1
-        yield f"{prefix}.ffn_w2.weight", self.ffn_w2
-        yield f"{prefix}.ffn_b2.bias", self.ffn_b2
+        for attr, name, _, _ in _BLOCK_TENSORS:
+            yield f"{prefix}.{name}", getattr(self, attr)
 
 
 @dataclass
@@ -380,54 +388,44 @@ class Model:
 # ---------------------------------------------------------------------------
 
 
+def param_spec(config: ModelConfig):
+    """(file name, shape, init) of every tensor, in file order."""
+    d, h = config.d_model, config.d_ff
+    yield "embed_token", (config.vocab_size, d), "normal"
+    yield "embed_pos", (config.max_positions, d), "normal"
+    for i in range(config.n_layers):
+        for _, name, shape, init in _BLOCK_TENSORS:
+            yield f"block{i}.{name}", shape(d, h), init
+    yield "final_ln.gamma", (d,), "ones"
+    yield "final_ln.beta", (d,), "zeros"
+
+
+def _build_params(config: ModelConfig, arrays, dtype) -> ModelParams:
+    """ModelParams from arrays given in param_spec order."""
+    leaves = (Tensor(a, requires_grad=True, dtype=dtype) for a in arrays)
+    params = ModelParams(embed_token=next(leaves), embed_pos=next(leaves))
+    for _ in range(config.n_layers):
+        params.blocks.append(BlockParams(**{row[0]: next(leaves) for row in _BLOCK_TENSORS}))
+    params.final_ln_gamma = next(leaves)
+    params.final_ln_beta = next(leaves)
+    return params
+
+
 def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
     """Weights ~ N(0, 0.02), biases 0, layer-norm gamma 1 / beta 0."""
     rng = np.random.default_rng(seed)
-    d, h = config.d_model, config.d_ff
-
-    def weight(*shape):
-        return Tensor(rng.normal(0.0, INIT_STD, size=shape), requires_grad=True, dtype=dtype)
-
-    def zeros(*shape):
-        return Tensor(np.zeros(shape), requires_grad=True, dtype=dtype)
-
-    def ones(*shape):
-        return Tensor(np.ones(shape), requires_grad=True, dtype=dtype)
-
-    params = ModelParams(
-        embed_token=weight(config.vocab_size, d),
-        embed_pos=weight(config.max_positions, d),
-    )
-    for _ in range(config.n_layers):
-        params.blocks.append(
-            BlockParams(
-                ln1_gamma=ones(d),
-                ln1_beta=zeros(d),
-                attn_qkv=weight(d, 3 * d),
-                attn_out=weight(d, d),
-                ln2_gamma=ones(d),
-                ln2_beta=zeros(d),
-                ffn_w1=weight(d, h),
-                ffn_b1=zeros(h),
-                ffn_w2=weight(h, d),
-                ffn_b2=zeros(d),
-            )
-        )
-    params.final_ln_gamma = ones(d)
-    params.final_ln_beta = zeros(d)
-    return params
+    make = {
+        "normal": lambda shape: rng.normal(0.0, INIT_STD, size=shape),
+        "ones": np.ones,
+        "zeros": np.zeros,
+    }
+    arrays = (make[init](shape) for _, shape, init in param_spec(config))
+    return _build_params(config, arrays, dtype)
 
 
 def param_count(config: ModelConfig) -> int:
     """Parameter total implied by the config (LM head is tied, adds nothing)."""
-    d, h = config.d_model, config.d_ff
-    per_block = 2 * d + d * 3 * d + d * d + 2 * d + d * h + h + h * d + d
-    return (
-        config.vocab_size * d
-        + config.max_positions * d
-        + config.n_layers * per_block
-        + 2 * d
-    )
+    return sum(math.prod(shape) for _, shape, _ in param_spec(config))
 
 
 # ---------------------------------------------------------------------------
@@ -438,17 +436,30 @@ _MAGIC = b"PFXLM1"
 
 
 def write_tensor_map(path, items, meta_step: int | None = None):
-    """Write (name, array) pairs: text header/meta lines, raw f32 payloads."""
+    """Write (name, array) pairs: text header/meta lines, raw f32 payloads.
+
+    The file is written beside `path` and then renamed over it, so a crash
+    mid-write leaves any previous file at `path` intact.
+    """
     items = list(items)
-    with open(path, "wb") as f:
-        f.write(_MAGIC + b" " + str(len(items)).encode() + b"\n")
-        for name, arr in items:
-            arr = np.ascontiguousarray(arr, dtype="<f4")
-            dims = " ".join(str(s) for s in arr.shape)
-            f.write(f"{name}\t{arr.ndim}\t{dims}\n".encode())
-            f.write(arr.tobytes())
-        if meta_step is not None:
-            f.write(f"meta\t{meta_step}\n".encode())
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_MAGIC + b" " + str(len(items)).encode() + b"\n")
+            for name, arr in items:
+                arr = np.ascontiguousarray(arr, dtype="<f4")
+                dims = " ".join(str(s) for s in arr.shape)
+                f.write(f"{name}\t{arr.ndim}\t{dims}\n".encode())
+                f.write(arr.tobytes())
+            if meta_step is not None:
+                f.write(f"meta\t{meta_step}\n".encode())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 _MAX_LINE = 1 << 16  # header, tensor and meta lines are far shorter
@@ -518,79 +529,22 @@ def read_tensor_map(path):
     return tensors, meta_step
 
 
-def _expected_shapes(config: ModelConfig) -> dict[str, tuple]:
-    d, h = config.d_model, config.d_ff
-    shapes = {
-        "embed_token": (config.vocab_size, d),
-        "embed_pos": (config.max_positions, d),
-        "final_ln.gamma": (d,),
-        "final_ln.beta": (d,),
-    }
-    for i in range(config.n_layers):
-        p = f"block{i}"
-        shapes[f"{p}.ln1.weight"] = (d,)
-        shapes[f"{p}.ln1.bias"] = (d,)
-        shapes[f"{p}.attn_qkv.weight"] = (d, 3 * d)
-        shapes[f"{p}.attn_out.weight"] = (d, d)
-        shapes[f"{p}.ln2.weight"] = (d,)
-        shapes[f"{p}.ln2.bias"] = (d,)
-        shapes[f"{p}.ffn_w1.weight"] = (d, h)
-        shapes[f"{p}.ffn_b1.bias"] = (h,)
-        shapes[f"{p}.ffn_w2.weight"] = (h, d)
-        shapes[f"{p}.ffn_b2.bias"] = (d,)
-    return shapes
-
-
-def export_weights(params: ModelParams, path):
-    write_tensor_map(path, ((name, p.data) for name, p in params.named()))
-
-
-def import_weights(path, config: ModelConfig, dtype=np.float32) -> ModelParams:
-    """Load a tensor map into ModelParams, validating names and shapes."""
-    tensors, _ = read_tensor_map(path)
-    return params_from_tensors(tensors, config, dtype=dtype, source=str(path))
-
-
 def params_from_tensors(
     tensors, config: ModelConfig, dtype=np.float32, source="tensor map"
 ) -> ModelParams:
     """Validate a {name: array} map against the config and build params."""
-    path = source
-    expected = _expected_shapes(config)
+    expected = {name: shape for name, shape, _ in param_spec(config)}
     missing = sorted(set(expected) - set(tensors))
     if missing:
-        raise WeightFileError(f"{path}: missing tensor {missing[0]!r}")
+        raise WeightFileError(f"{source}: missing tensor {missing[0]!r}")
     extra = sorted(set(tensors) - set(expected))
     if extra:
-        raise WeightFileError(f"{path}: unexpected tensor {extra[0]!r}")
+        raise WeightFileError(f"{source}: unexpected tensor {extra[0]!r}")
     for name, shape in expected.items():
         if tensors[name].shape != shape:
             raise WeightFileError(
-                f"{path}: {name!r} has shape {tensors[name].shape}, expected {shape}"
+                f"{source}: {name!r} has shape {tensors[name].shape}, expected {shape}"
             )
         if not np.all(np.isfinite(tensors[name])):
-            raise WeightFileError(f"{path}: {name!r} contains non-finite values")
-
-    def leaf(name):
-        return Tensor(tensors[name], requires_grad=True, dtype=dtype)
-
-    params = ModelParams(embed_token=leaf("embed_token"), embed_pos=leaf("embed_pos"))
-    for i in range(config.n_layers):
-        p = f"block{i}"
-        params.blocks.append(
-            BlockParams(
-                ln1_gamma=leaf(f"{p}.ln1.weight"),
-                ln1_beta=leaf(f"{p}.ln1.bias"),
-                attn_qkv=leaf(f"{p}.attn_qkv.weight"),
-                attn_out=leaf(f"{p}.attn_out.weight"),
-                ln2_gamma=leaf(f"{p}.ln2.weight"),
-                ln2_beta=leaf(f"{p}.ln2.bias"),
-                ffn_w1=leaf(f"{p}.ffn_w1.weight"),
-                ffn_b1=leaf(f"{p}.ffn_b1.bias"),
-                ffn_w2=leaf(f"{p}.ffn_w2.weight"),
-                ffn_b2=leaf(f"{p}.ffn_b2.bias"),
-            )
-        )
-    params.final_ln_gamma = leaf("final_ln.gamma")
-    params.final_ln_beta = leaf("final_ln.beta")
-    return params
+            raise WeightFileError(f"{source}: {name!r} contains non-finite values")
+    return _build_params(config, (tensors[name] for name in expected), dtype)

@@ -187,43 +187,41 @@ def _normalize_verdict(raw: str) -> str:
     return v
 
 
+def _read_csv(path, n_columns: int, make_record) -> list:
+    """make_record(row) for every row of a UTF-8 CSV with n_columns columns
+    and an optional `system,...` header; a bad row raises ValueError naming
+    path:line."""
+    records = []
+    lineno = 0
+
+    def lines(f):  # decoded one line at a time, so errors know their line
+        nonlocal lineno
+        for lineno, raw in enumerate(f, start=1):
+            yield raw.decode("utf-8")
+
+    with open(path, "rb") as f:
+        try:
+            for row in csv.reader(lines(f)):
+                if not row or (lineno == 1 and row[0].strip().lower() == "system"):
+                    continue
+                if len(row) != n_columns:
+                    raise ValueError(f"expected {n_columns} columns, got {len(row)}")
+                records.append(make_record(row))
+        except (csv.Error, ValueError) as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from e
+    return records
+
+
 def read_annotations_csv(path) -> list[AnnotationRecord]:
     """CSV rows system,example_id,verdict (optional header)."""
-    records = []
-    with open(path, newline="", encoding="utf-8") as f:
-        for lineno, row in enumerate(csv.reader(f), start=1):
-            if not row or (lineno == 1 and row[0].strip().lower() == "system"):
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            records.append(
-                AnnotationRecord(row[0].strip(), row[1].strip(), _normalize_verdict(row[2]))
-            )
-    return records
+    return _read_csv(path, 3, lambda row: AnnotationRecord(
+        row[0].strip(), row[1].strip(), _normalize_verdict(row[2])))
 
 
 def read_ratings_csv(path) -> list[RatingRecord]:
     """CSV rows system,example_id,correctness,quality,overall (optional header)."""
-    records = []
-    with open(path, newline="", encoding="utf-8") as f:
-        for lineno, row in enumerate(csv.reader(f), start=1):
-            if not row or (lineno == 1 and row[0].strip().lower() == "system"):
-                continue
-            if len(row) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 columns, got {len(row)}")
-            try:
-                records.append(
-                    RatingRecord(
-                        row[0].strip(),
-                        row[1].strip(),
-                        int(row[2]),
-                        int(row[3]),
-                        int(row[4]),
-                    )
-                )
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from e
-    return records
+    return _read_csv(path, 5, lambda row: RatingRecord(
+        row[0].strip(), row[1].strip(), int(row[2]), int(row[3]), int(row[4])))
 
 
 # ---------------------------------------------------------------------------

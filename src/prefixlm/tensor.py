@@ -130,9 +130,6 @@ class Tensor:
         """Reset the accumulated gradient to zeros."""
         self.grad = np.zeros_like(self.data)
 
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}{flag})"

@@ -117,6 +117,61 @@ def test_preprocess_parse_error_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_preprocess_parse_error_names_path_and_line(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("###1\nRESULTS\tok .\nFOO\ttext\n", encoding="utf-8")
+    code = main(["preprocess", "--corpus", str(bad), "--out",
+                 str(tmp_path / "x.jsonl")])
+    assert code == 2
+    assert f"{bad}:3: unknown label 'FOO'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("[1]", "JSON object"),
+    ('{"pmid": "1", "source": 5, "target": "t", "sections_used": []}', "'source'"),
+    ('{"pmid": "1", "source": "s", "target": "t", "sections_used": "x"}',
+     "'sections_used'"),
+])
+def test_bad_examples_line_exit_2(tmp_path, capsys, line, problem):
+    examples = tmp_path / "examples.jsonl"
+    examples.write_text(
+        '{"pmid": "0", "source": "s", "target": "t", "sections_used": []}\n'
+        + line + "\n", encoding="utf-8")
+    code, _, _ = _train_tokenizer(tmp_path, examples)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{examples}:2: " in err and problem in err
+
+
+@pytest.mark.parametrize("line", [
+    "[1]",
+    '{"pmid": "100", "n_hints": "x", "output": "o"}',
+    '{"pmid": "100", "n_hints": 0, "output": null}',
+])
+def test_bad_generated_line_exit_2(tmp_path, corpus_file, capsys, line):
+    _, examples = _preprocess(tmp_path, corpus_file)
+    gen = tmp_path / "gen.jsonl"
+    gen.write_text(line + "\n", encoding="utf-8")
+    assert main(["score", "--generated", str(gen), "--references", str(examples),
+                 "--out", str(tmp_path / "r.txt")]) == 2
+    assert f"{gen}:1: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, problem", [
+    ("s,e1,MAYBE", "verdict"),
+    ('s,e1,"' + "x" * 200_000 + '"', "field larger than field limit"),
+])
+def test_bad_annotation_row_exit_2(tmp_path, capsys, row, problem):
+    ann = tmp_path / "ann.csv"
+    ann.write_text("system,example_id,verdict\ns,e0,TP\n" + row + "\n",
+                   encoding="utf-8")
+    code = main(["eval-aggregate", "--annotations", str(ann),
+                 "--out", str(tmp_path / "r.txt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{ann}:3: " in err and problem in err
+
+
 def test_missing_corpus_exit_2(tmp_path):
     code = main(["preprocess", "--corpus", str(tmp_path / "nope.txt"),
                  "--out", str(tmp_path / "x.jsonl")])
@@ -236,3 +291,17 @@ def test_finetune_resumes_from_checkpoint(tmp_path, corpus_file, capsys):
     out = capsys.readouterr().out
     assert "step 3/4" in out and "step 1/4" not in out
     assert (tmp_path / "ck.bin").read_bytes() != first
+
+
+def test_finetune_refuses_examples_longer_than_max_positions(tmp_path, corpus_file, capsys):
+    # max_len=500 keeps every example; a 20-position model cannot fit them
+    _, examples = _preprocess(tmp_path, corpus_file)
+    _, vocab, merges = _train_tokenizer(tmp_path, examples)
+    cfg = _write_config(tmp_path, examples, vocab, merges)
+    cfg.write_text(cfg.read_text().replace("max_positions=256", "max_positions=20"),
+                   encoding="utf-8")
+    assert main(["finetune", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "max_len 500" in captured.err and "max_positions 20" in captured.err
+    assert "step 1/" not in captured.out
+    assert not (tmp_path / "ck.bin").exists() and not (tmp_path / "loss.csv").exists()

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from prefixlm.data import (
@@ -60,6 +62,16 @@ def test_parse_missing_tab():
 def test_parse_record_without_sentences():
     with pytest.raises(CorpusParseError, match="no sentences"):
         parse_corpus(["###1", "", "###2", "RESULTS\tok .", "CONCLUSIONS\tfine ."])
+
+
+def test_parse_errors_name_the_path(tmp_path):
+    path = tmp_path / "corpus.txt"
+    for text, where in (("###1\nRESULTS no tab here\n", 2),
+                        ("RESULTS\torphan .\n", 1),
+                        ("###1\n\n###2\nRESULTS\tok .\n", 1)):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CorpusParseError, match=f"^{re.escape(str(path))}:{where}: "):
+            parse_corpus(path)
 
 
 def test_parse_sentence_before_record():
@@ -210,4 +222,26 @@ def test_examples_jsonl_bad_line(tmp_path):
     path = tmp_path / "examples.jsonl"
     path.write_text('{"pmid": "1"}\n', encoding="utf-8")
     with pytest.raises(CorpusParseError, match="1"):
+        read_examples_jsonl(path)
+
+
+@pytest.mark.parametrize("line", [
+    "[1]",
+    '"text"',
+    '{"pmid": 1, "source": "s", "target": "t", "sections_used": []}',
+    '{"pmid": "1", "source": "s", "target": ["t"], "sections_used": []}',
+    '{"pmid": "1", "source": "s", "target": "t", "sections_used": "BACKGROUND"}',
+])
+def test_examples_jsonl_wrong_shape_names_path_line(tmp_path, line):
+    path = tmp_path / "examples.jsonl"
+    path.write_text("\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(CorpusParseError, match=f"^{re.escape(str(path))}:2: "):
+        read_examples_jsonl(path)
+
+
+def test_examples_jsonl_bad_utf8_names_path_line(tmp_path):
+    path = tmp_path / "examples.jsonl"
+    path.write_bytes(b'{"pmid": "1", "source": "s", "target": "t", "sections_used": []}\n'
+                     b'{"pmid": "\xff"}\n')
+    with pytest.raises(CorpusParseError, match=f"^{re.escape(str(path))}:2: "):
         read_examples_jsonl(path)

@@ -3,6 +3,7 @@ import pytest
 
 from oracles import finite_difference_grads, grad_error
 
+from prefixlm.finetune import load_model_weights
 from prefixlm.model import (
     BlockParams,
     Model,
@@ -11,13 +12,12 @@ from prefixlm.model import (
     block_forward,
     build_causal_mask,
     build_prefix_mask,
-    export_weights,
     ffn,
-    import_weights,
     init_params,
     masked_attention,
     multi_head_self_attention,
     param_count,
+    param_spec,
     read_tensor_map,
     write_tensor_map,
 )
@@ -471,6 +471,54 @@ def test_init_layer_norm_gammas_are_one():
     np.testing.assert_array_equal(params.final_ln_gamma.data, np.ones(8))
 
 
+ONE_LAYER = ModelConfig(
+    n_layers=1, d_model=4, n_heads=2, d_ff=6, vocab_size=5, max_positions=3
+)
+ONE_LAYER_LAYOUT = [
+    ("embed_token", (5, 4)),
+    ("embed_pos", (3, 4)),
+    ("block0.ln1.weight", (4,)),
+    ("block0.ln1.bias", (4,)),
+    ("block0.attn_qkv.weight", (4, 12)),
+    ("block0.attn_out.weight", (4, 4)),
+    ("block0.ln2.weight", (4,)),
+    ("block0.ln2.bias", (4,)),
+    ("block0.ffn_w1.weight", (4, 6)),
+    ("block0.ffn_b1.bias", (6,)),
+    ("block0.ffn_w2.weight", (6, 4)),
+    ("block0.ffn_b2.bias", (4,)),
+    ("final_ln.gamma", (4,)),
+    ("final_ln.beta", (4,)),
+]
+
+
+def test_weights_layout_is_pinned():
+    # the PFXLM1 file order; resume and generate depend on it
+    assert [(name, shape) for name, shape, _ in param_spec(ONE_LAYER)] == ONE_LAYER_LAYOUT
+    params = init_params(ONE_LAYER, seed=0)
+    assert [(name, p.shape) for name, p in params.named()] == ONE_LAYER_LAYOUT
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_init_params_draws_in_file_order(dtype):
+    # the six matrices take N(0, 0.02) draws in file order; the rest are 1 or 0
+    rng = np.random.default_rng(11)
+    shapes = dict(ONE_LAYER_LAYOUT)
+    matrices = ["embed_token", "embed_pos", "block0.attn_qkv.weight",
+                "block0.attn_out.weight", "block0.ffn_w1.weight", "block0.ffn_w2.weight"]
+    expected = {name: rng.normal(0.0, 0.02, size=shapes[name]) for name in matrices}
+    for name in ("block0.ln1.weight", "block0.ln2.weight", "final_ln.gamma"):
+        expected[name] = np.ones(shapes[name])
+    for name in ("block0.ln1.bias", "block0.ln2.bias", "block0.ffn_b1.bias",
+                 "block0.ffn_b2.bias", "final_ln.beta"):
+        expected[name] = np.zeros(shapes[name])
+    params = init_params(ONE_LAYER, seed=11, dtype=dtype)
+    assert len(expected) == len(list(params.named()))
+    for name, p in params.named():
+        assert p.dtype == dtype
+        np.testing.assert_array_equal(p.data, expected[name].astype(dtype))
+
+
 def test_param_count_matches_instantiated_params():
     assert param_count(TINY) == init_params(TINY, 0).n_parameters()
 
@@ -507,11 +555,15 @@ def test_config_validation():
 # ---------------------------------------------------------------------------
 
 
+def _write_params(params, path):
+    write_tensor_map(path, ((name, p.data) for name, p in params.named()))
+
+
 def test_export_import_roundtrip(tmp_path):
     path = tmp_path / "weights.bin"
     params = init_params(TINY, seed=31)
-    export_weights(params, path)
-    loaded = import_weights(path, TINY)
+    _write_params(params, path)
+    loaded = load_model_weights(path, TINY)
     for (na, pa), (nb, pb) in zip(params.named(), loaded.named()):
         assert na == nb
         np.testing.assert_array_equal(pa.data, pb.data)
@@ -523,7 +575,7 @@ def test_import_missing_tensor(tmp_path):
     items = [(n, p.data) for n, p in params.named() if n != "block1.attn_out.weight"]
     write_tensor_map(path, items)
     with pytest.raises(WeightFileError, match="block1.attn_out.weight"):
-        import_weights(path, TINY)
+        load_model_weights(path, TINY)
 
 
 def test_import_shape_mismatch(tmp_path):
@@ -535,15 +587,15 @@ def test_import_shape_mismatch(tmp_path):
     ]
     write_tensor_map(path, items)
     with pytest.raises(WeightFileError, match="embed_pos"):
-        import_weights(path, TINY)
+        load_model_weights(path, TINY)
 
 
 def test_import_then_forward_matches(tmp_path):
     path = tmp_path / "weights.bin"
     params = init_params(TINY, seed=33)
     before = Model(TINY, params).forward([1, 2, 3], build_causal_mask(3)).data
-    export_weights(params, path)
-    after = Model(TINY, import_weights(path, TINY)).forward(
+    _write_params(params, path)
+    after = Model(TINY, load_model_weights(path, TINY)).forward(
         [1, 2, 3], build_causal_mask(3)
     ).data
     np.testing.assert_array_equal(before, after)
@@ -589,3 +641,23 @@ def test_tensor_map_bad_meta_step(tmp_path):
     with pytest.raises(WeightFileError, match="meta") as err:
         read_tensor_map(path)
     assert str(path) in str(err.value)
+
+
+def test_tensor_map_failed_write_keeps_old_file(tmp_path):
+    path = tmp_path / "ck.bin"
+    write_tensor_map(path, [("a", np.arange(3, dtype=np.float32))], meta_step=1)
+    before = path.read_bytes()
+    items = [("a", np.ones(3, dtype=np.float32)), ("b", object())]
+    with pytest.raises(TypeError):
+        write_tensor_map(path, items, meta_step=2)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.bin"]
+
+
+def test_tensor_map_write_replaces_old_file(tmp_path):
+    path = tmp_path / "ck.bin"
+    write_tensor_map(path, [("a", np.arange(3, dtype=np.float32))], meta_step=1)
+    write_tensor_map(path, [("b", np.ones((2, 2), dtype=np.float32))], meta_step=2)
+    tensors, step = read_tensor_map(path)
+    assert step == 2 and list(tensors) == ["b"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.bin"]

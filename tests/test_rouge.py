@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -293,6 +295,25 @@ def test_read_ratings_csv_bad_value(tmp_path):
     path.write_text("s1,e1,3,4,nine\n", encoding="utf-8")
     with pytest.raises(ValueError):
         read_ratings_csv(path)
+
+
+@pytest.mark.parametrize("row, problem", [
+    ("s1,e1,3,4,nine", "nine"),
+    ("s1,e1,3,4,6", "overall"),
+    ('s1,e1,3,4,"' + "9" * 200_000 + '"', "field larger than field limit"),
+])
+def test_read_ratings_csv_errors_name_path_line(tmp_path, row, problem):
+    path = tmp_path / "ratings.csv"
+    path.write_text("s1,e0,3,4,5\n" + row + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: .*{problem}"):
+        read_ratings_csv(path)
+
+
+def test_read_annotations_csv_bad_utf8_names_its_line(tmp_path):
+    path = tmp_path / "ann.csv"
+    path.write_bytes(b"system,example_id,verdict\ns,e1,TP\ns,e2,T\xffP\ns,e3,FN\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: .*utf-8"):
+        read_annotations_csv(path)
 
 
 def test_reports_render():

@@ -5,6 +5,9 @@ Train a merge table on a small corpus, look at how text is segmented and
 merged, and round-trip some awkward strings.
 """
 
+import tempfile
+from pathlib import Path
+
 from prefixlm.bpe import load_vocabulary, save_vocabulary, train_merges
 
 corpus = [
@@ -41,8 +44,10 @@ assert tok.decode_bytes(tok.encode(raw)) == raw
 print("round-trips hold for clinical text, accents, control bytes")
 
 # persistence: one vocab file, one merges file
-save_vocabulary(tok, "/tmp/demo_vocab.tsv", "/tmp/demo_merges.tsv")
-reloaded = load_vocabulary("/tmp/demo_vocab.tsv", "/tmp/demo_merges.tsv")
+with tempfile.TemporaryDirectory() as d:
+    vocab_path, merges_path = Path(d) / "vocab.tsv", Path(d) / "merges.tsv"
+    save_vocabulary(tok, vocab_path, merges_path)
+    reloaded = load_vocabulary(vocab_path, merges_path)
 assert reloaded.encode(text) == ids
 print("saved and reloaded tokenizer encodes identically")
 

@@ -53,13 +53,26 @@ class RctExample:
     target_sentences: int | None = None
 
 
+def _text_lines(path, error):
+    """(line number, line) for each line of a UTF-8 file, read one at a time
+    and without its \n or \r\n ending; a line that is not valid UTF-8
+    raises `error` naming path:line."""
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise error(f"{path}:{lineno}: line is not valid UTF-8: {e}") from e
+            yield lineno, line.removesuffix("\n").removesuffix("\r")
+
+
 def parse_corpus(source) -> list[RctAbstract]:
     """Parse a corpus file (path or iterable of lines) into abstracts."""
     if isinstance(source, (str, Path)):
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
+        lines = _text_lines(source, CorpusParseError)
         where = f"{source}:"
     else:
-        lines = [line.rstrip("\n") for line in source]
+        lines = enumerate((line.rstrip("\n") for line in source), start=1)
         where = "line "
 
     abstracts: list[RctAbstract] = []
@@ -74,7 +87,7 @@ def parse_corpus(source) -> list[RctAbstract]:
                 )
             abstracts.append(current)
 
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in lines:
         if not line.strip():
             continue
         if line.startswith("###"):
@@ -211,21 +224,19 @@ def read_jsonl(path, schema: dict, error=ValueError) -> list[tuple]:
     JSONL file, one tuple per line; a line that is not a JSON object with
     fields of those types raises `error` naming path:line."""
     rows = []
-    with open(path, "rb") as f:
-        for lineno, raw in enumerate(f, start=1):
-            try:
-                line = raw.decode("utf-8")
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
-                for key, kind in schema.items():
-                    if not isinstance(obj.get(key), kind):
-                        raise TypeError(f"{key!r} is missing or not a {kind.__name__}")
-            except (ValueError, TypeError, RecursionError) as e:
-                raise error(f"{path}:{lineno}: bad line: {e}") from e
-            rows.append(tuple(obj[key] for key in schema))
+    for lineno, line in _text_lines(path, error):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+            for key, kind in schema.items():
+                if not isinstance(obj.get(key), kind):
+                    raise TypeError(f"{key!r} is missing or not a {kind.__name__}")
+        except (ValueError, TypeError, RecursionError) as e:
+            raise error(f"{path}:{lineno}: bad line: {e}") from e
+        rows.append(tuple(obj[key] for key in schema))
     return rows
 
 

@@ -295,6 +295,20 @@ def parse_training_config(path) -> TrainingConfig:
     return TrainingConfig(**kwargs)
 
 
+def _cut_loss_log(path: Path, step: int):
+    """Start the loss log afresh, or on resume from `step` keep only its rows
+    up to that step: a run that stopped after its last checkpoint may have
+    logged later steps, which the resumed run trains and logs again."""
+    rows = ["step,loss\n"]
+    if step > 0 and path.exists():
+        with open(path, encoding="utf-8", errors="replace") as f:
+            for line in f:
+                field = line.partition(",")[0]
+                if field.isdecimal() and int(field) <= step and line.endswith("\n"):
+                    rows.append(line)
+    path.write_text("".join(rows), encoding="utf-8")
+
+
 def run_finetune(cfg: TrainingConfig, log=None):
     """Fine-tune per the config, checkpointing and logging as it goes.
 
@@ -330,8 +344,8 @@ def run_finetune(cfg: TrainingConfig, log=None):
     model = Model(config, params)
 
     log_path = Path(cfg.loss_log) if cfg.loss_log else None
-    if log_path is not None and start_step == 0:
-        log_path.write_text("step,loss\n", encoding="utf-8")
+    if log_path is not None:
+        _cut_loss_log(log_path, start_step)
 
     n = len(encoded)
     for step in range(start_step, cfg.steps):

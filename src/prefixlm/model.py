@@ -6,7 +6,9 @@ norm applied before each sublayer, residual around both), a final layer
 norm, and a language-model head tied to the token embedding. Attention
 masks are plain float matrices with 0 (visible) and -inf (hidden) entries;
 the causal and prefix builders below cover training and generation.
-Model.prefill and Model.step decode incrementally over a key/value cache.
+Attention is one fused multi-head op over the query|key|value projection
+(tensor.attention); Model.prefill and Model.step decode incrementally over a
+key/value cache with the same numpy core (tensor.split_heads, tensor.attend).
 """
 
 from __future__ import annotations
@@ -20,20 +22,18 @@ import numpy as np
 
 from .tensor import (
     GraphError,
-    ShapeError,
     Tensor,
     active_tape,
     add,
-    concat_cols,
+    attend,
+    attention,
     embedding_rows,
     gelu,
     layer_norm,
     matmul,
     relu,
-    scale,
-    slice_cols,
     slice_rows,
-    softmax_rows,
+    split_heads,
     transpose,
 )
 
@@ -47,7 +47,6 @@ __all__ = [
     "LN_EPS",
     "build_causal_mask",
     "build_prefix_mask",
-    "masked_attention",
     "multi_head_self_attention",
     "ffn",
     "block_forward",
@@ -197,31 +196,11 @@ def build_prefix_mask(m: int, n: int, dtype=np.float32) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tensor:
-    """softmax(q k^T / sqrt(d_k) + mask) v for one head."""
-    t, d_k = q.shape
-    if k.shape != (t, d_k) or v.shape != (t, d_k):
-        raise ShapeError(f"attention shapes differ: {q.shape}/{k.shape}/{v.shape}")
-    if mask.shape != (t, t):
-        raise ShapeError(f"mask must be ({t}, {t}), got {mask.shape}")
-    scores = scale(matmul(q, transpose(k)), 1.0 / np.sqrt(d_k))
-    scores = add(scores, Tensor(np.asarray(mask, dtype=scores.dtype)))
-    return matmul(softmax_rows(scores), v)
-
-
 def multi_head_self_attention(
     x: Tensor, mask: np.ndarray, block: BlockParams, n_heads: int
 ) -> Tensor:
-    d_model = x.shape[1]
-    d_k = d_model // n_heads
-    qkv = matmul(x, block.attn_qkv)  # T x 3*d_model
-    heads = []
-    for i in range(n_heads):
-        q = slice_cols(qkv, i * d_k, (i + 1) * d_k)
-        k = slice_cols(qkv, d_model + i * d_k, d_model + (i + 1) * d_k)
-        v = slice_cols(qkv, 2 * d_model + i * d_k, 2 * d_model + (i + 1) * d_k)
-        heads.append(masked_attention(q, k, v, mask))
-    return matmul(concat_cols(heads), block.attn_out)
+    """Fused query|key|value projection, attention, output projection."""
+    return matmul(attention(matmul(x, block.attn_qkv), mask, n_heads), block.attn_out)
 
 
 def ffn(x: Tensor, block: BlockParams, activation: str = "relu") -> Tensor:
@@ -287,24 +266,14 @@ def _cached_attention(
 
     Writes the rows' keys and values into the cache of `layer`; `mask`
     ([rows x cache.length + rows], or None for all visible) hides entries.
-    Off the tape: the attention itself is plain numpy.
+    Off the tape: the attention itself is tensor.attend on the cache slices.
     """
-    t, d_model = x.shape
-    d_k = d_model // n_heads
-    start, stop = cache.length, cache.length + t
-    # [3, H, t, d_k] view of the fused projection
-    q, k, v = matmul(x, block.attn_qkv).data.reshape(t, 3, n_heads, d_k).transpose(1, 2, 0, 3)
+    start, stop = cache.length, cache.length + x.shape[0]
+    q, k, v = split_heads(matmul(x, block.attn_qkv).data, n_heads)
     cache.keys[layer, :, start:stop] = k
     cache.values[layer, :, start:stop] = v
-    keys = cache.keys[layer, :, :stop]
-    scores = np.matmul(q, keys.transpose(0, 2, 1)) * np.asarray(
-        1.0 / np.sqrt(d_k), dtype=keys.dtype
-    )
-    if mask is not None:
-        scores += np.asarray(mask, dtype=scores.dtype)
-    weights = softmax_rows(Tensor(scores.reshape(n_heads * t, stop))).data
-    heads = np.matmul(weights.reshape(n_heads, t, stop), cache.values[layer, :, :stop])
-    return matmul(Tensor(heads.transpose(1, 0, 2).reshape(t, d_model)), block.attn_out)
+    heads, _ = attend(q, cache.keys[layer, :, :stop], cache.values[layer, :, :stop], mask)
+    return matmul(Tensor(heads), block.attn_out)
 
 
 class Model:
@@ -335,10 +304,6 @@ class Model:
     def forward(self, token_ids, mask: np.ndarray) -> Tensor:
         """Next-token logits [T x vocab_size] under the given attention mask."""
         x = self.embed(token_ids)
-        if mask.shape != (x.shape[0], x.shape[0]):
-            raise ShapeError(
-                f"mask shape {mask.shape} does not match sequence {x.shape[0]}"
-            )
         for block in self.params.blocks:
             x = block_forward(x, mask, block, self.config.n_heads, self.config.activation)
         return self._head(x)

@@ -27,12 +27,13 @@ __all__ = [
     "relu",
     "gelu",
     "softmax_rows",
+    "split_heads",
+    "attend",
+    "attention",
     "layer_norm",
     "cross_entropy",
     "embedding_rows",
     "slice_rows",
-    "slice_cols",
-    "concat_cols",
     "sum_all",
     "backward",
 ]
@@ -289,19 +290,24 @@ def gelu(a: Tensor) -> Tensor:
     return _wrap(0.5 * x * (1.0 + t), (a,), bw)
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax, stabilized by per-row max subtraction.
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, stabilized by per-row max subtraction.
 
     -inf entries (masked positions) come out exactly 0. A row that is
     entirely -inf has no valid distribution and raises.
     """
+    m = x.max(axis=-1, keepdims=True)
+    if np.any(np.isneginf(m)):
+        raise ValueError("softmax: row is entirely -inf (degenerate row)")
+    e = np.exp(x - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_rows(x: Tensor) -> Tensor:
+    """Row-wise softmax; see _softmax for masked entries and degenerate rows."""
     if x.ndim != 2:
         raise ShapeError(f"softmax_rows needs a 2-d operand, got {x.shape}")
-    m = x.data.max(axis=1, keepdims=True)
-    if np.any(np.isneginf(m)):
-        raise ValueError("softmax_rows: row is entirely -inf (degenerate row)")
-    e = np.exp(x.data - m)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = _softmax(x.data)
 
     def bw(g):
         dot = (g * s).sum(axis=1, keepdims=True)
@@ -380,6 +386,57 @@ def cross_entropy(logits: Tensor, targets, loss_mask=None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# attention
+# ---------------------------------------------------------------------------
+
+
+def split_heads(qkv: np.ndarray, n_heads: int) -> np.ndarray:
+    """The [3, H, T, d_k] view of a fused [T x 3*d] query|key|value projection."""
+    return qkv.reshape(qkv.shape[0], 3, n_heads, -1).transpose(1, 2, 0, 3)
+
+
+def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask):
+    """softmax(q k^T / sqrt(d_k) + mask) v per head, for q [H x t x d_k], k and
+    v [H x s x d_k] and a 0/-inf mask [t x s] (None: all visible).
+
+    Returns the heads side by side [t x H*d_k] and the weights [H x t x s].
+    """
+    scores = np.matmul(q, k.transpose(0, 2, 1))
+    scores *= np.asarray(1.0 / math.sqrt(q.shape[2]), dtype=scores.dtype)
+    if mask is not None:
+        scores += np.asarray(mask, dtype=scores.dtype)
+    weights = _softmax(scores)
+    return np.matmul(weights, v).transpose(1, 0, 2).reshape(q.shape[1], -1), weights
+
+
+def attention(qkv: Tensor, mask: np.ndarray, n_heads: int) -> Tensor:
+    """Multi-head self-attention of a fused [T x 3*d] projection under a
+    0/-inf mask [T x T]: the [T x d] attended values, heads side by side.
+    The backward keeps only the softmax weights besides its operand."""
+    if qkv.ndim != 2 or qkv.shape[1] % (3 * n_heads):
+        raise ShapeError(f"attention needs [T x 3*d] with {n_heads} heads, got {qkv.shape}")
+    t = qkv.shape[0]
+    if np.shape(mask) != (t, t):
+        raise ShapeError(f"mask must be ({t}, {t}), got {np.shape(mask)}")
+    q, k, v = split_heads(qkv.data, n_heads)
+    heads, w = attend(q, k, v, mask)
+    c = 1.0 / math.sqrt(q.shape[2])
+
+    def bw(g):
+        g = g.reshape(t, n_heads, -1).transpose(1, 0, 2)  # [H, T, d_k]
+        dw = np.matmul(g, v.transpose(0, 2, 1))
+        ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True)) * c
+        grad = np.empty_like(qkv.data)
+        dq, dk, dv = split_heads(grad, n_heads)
+        dq[...] = np.matmul(ds, k)
+        dk[...] = np.matmul(q.transpose(0, 2, 1), ds).transpose(0, 2, 1)
+        dv[...] = np.matmul(w.transpose(0, 2, 1), g)
+        _accumulate(qkv, grad)
+
+    return _wrap(heads, (qkv,), bw)
+
+
+# ---------------------------------------------------------------------------
 # indexing
 # ---------------------------------------------------------------------------
 
@@ -412,33 +469,3 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
         _accumulate(x, full)
 
     return _wrap(x.data[start:stop].copy(), (x,), bw)
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.ndim != 2 or not (0 <= start <= stop <= x.shape[1]):
-        raise ShapeError(f"column slice [{start}:{stop}] out of range for {x.shape}")
-
-    def bw(g):
-        full = np.zeros_like(x.data)
-        full[:, start:stop] = g
-        _accumulate(x, full)
-
-    return _wrap(x.data[:, start:stop].copy(), (x,), bw)
-
-
-def concat_cols(parts) -> Tensor:
-    """Concatenate 2-d tensors with equal row counts along columns."""
-    parts = list(parts)
-    if not parts:
-        raise ShapeError("concat_cols of no tensors")
-    r = parts[0].shape[0]
-    if any(p.ndim != 2 or p.shape[0] != r for p in parts):
-        raise ShapeError("concat_cols: row counts differ")
-    widths = [p.shape[1] for p in parts]
-    offsets = np.cumsum([0] + widths)
-
-    def bw(g):
-        for p, a, b in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[:, a:b])
-
-    return _wrap(np.concatenate([p.data for p in parts], axis=1), tuple(parts), bw)

@@ -1,14 +1,17 @@
 """Independent oracles shared across the test suite.
 
-Nothing in here touches the library's backward pass, its dynamic
-programming or its tokenizer; these exist so the tests can check the fast paths against
-slow, obviously-correct computations.
+Nothing in here touches the library's dynamic programming or its tokenizer,
+and only reference_attention touches its backward pass (through the 2-d
+tape ops, each of which is gradchecked on its own); these exist so the tests
+can check the fast paths against slow, obviously-correct computations.
 """
 
 import unicodedata
 from collections import Counter
 
 import numpy as np
+
+from prefixlm.tensor import Tensor, add, matmul, scale, softmax_rows, transpose
 
 
 def finite_difference_grads(f, arrays, h=1e-5):
@@ -137,3 +140,37 @@ def reference_merges(corpus, num_merges):
         merges.append(best)
         words = {unit: _merge_word(toks, best) for unit, toks in words.items()}
     return merges
+
+
+def _columns(width, start, n):
+    """[width x n] 0/1 matrix that picks columns start..start+n of a
+    [T x width] matrix exactly; its transpose places n columns there."""
+    sel = np.zeros((width, n))
+    sel[start + np.arange(n), np.arange(n)] = 1.0
+    return sel
+
+
+def reference_attention(qkv, mask, n_heads):
+    """Multi-head self-attention as one tape loop per head, the slow path
+    that tensor.attention replaces.
+
+    qkv is a [T x 3*d] Tensor of query, key and value blocks, heads side by
+    side in each. Head i takes its columns of each block, computes
+    softmax(q k^T / sqrt(d_k) + mask) v, and is placed at its columns of the
+    [T x d] result. Columns are picked and placed by 0/1 selection matrices.
+    """
+    width = qkv.shape[1]
+    d = width // 3
+    d_k = d // n_heads
+    mask = Tensor(np.asarray(mask, dtype=qkv.dtype))
+    out = None
+    for i in range(n_heads):
+        q, k, v = (
+            matmul(qkv, Tensor(_columns(width, j * d + i * d_k, d_k), dtype=qkv.dtype))
+            for j in range(3)
+        )
+        scores = add(scale(matmul(q, transpose(k)), 1.0 / np.sqrt(d_k)), mask)
+        head = matmul(softmax_rows(scores), v)
+        placed = matmul(head, Tensor(_columns(d, i * d_k, d_k).T, dtype=qkv.dtype))
+        out = placed if out is None else add(out, placed)
+    return out

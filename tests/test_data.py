@@ -74,6 +74,19 @@ def test_parse_errors_name_the_path(tmp_path):
             parse_corpus(path)
 
 
+def test_parse_corpus_bad_utf8_names_path_line(tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(b"###1\nRESULTS\tok .\nCONCLUSIONS\tbad \xff byte .\n")
+    with pytest.raises(CorpusParseError, match=f"^{re.escape(str(path))}:3: .*UTF-8"):
+        parse_corpus(path)
+
+
+def test_parse_corpus_crlf_line_endings(tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(FIXTURE.replace("\n", "\r\n").encode("utf-8"))
+    assert parse_corpus(path) == parse_corpus(FIXTURE.splitlines())
+
+
 def test_parse_sentence_before_record():
     with pytest.raises(CorpusParseError, match="line 1"):
         parse_corpus(["RESULTS\torphan sentence ."])

@@ -1,5 +1,5 @@
 """Each quick demo runs to completion as a script. Demo 04 trains a model
-to memorize four pairs, which takes about 40 s, and is left out."""
+to memorize four pairs, which takes 20-24 s on one core, and is left out."""
 
 import os
 import subprocess

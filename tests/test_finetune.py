@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
-from prefixlm.bpe import train_merges
-from prefixlm.data import RctExample
+from prefixlm.bpe import save_vocabulary, train_merges
+from prefixlm.data import RctExample, write_examples_jsonl
 from prefixlm.finetune import (
     ConfigError,
     EncodedExample,
     HINTLESS_PROMPT,
     OptimizerState,
+    TrainingConfig,
     encode_source,
     filter_long,
     load_checkpoint,
     parse_training_config,
     prepare_example,
+    run_finetune,
     save_checkpoint,
     sgd_update,
     split_hint_words,
@@ -337,6 +339,38 @@ def test_resume_matches_straight_run(tmp_path, tok):
 
     for (_, pa), (_, pb) in zip(straight.params.named(), resumed.params.named()):
         np.testing.assert_array_equal(pa.data, pb.data)
+
+
+def test_resume_logs_each_step_once(tmp_path, tok):
+    vocab, merges, data = tmp_path / "vocab.tsv", tmp_path / "merges.tsv", tmp_path / "train.jsonl"
+    save_vocabulary(tok, vocab, merges)
+    write_examples_jsonl(CORPUS, data)
+    log = tmp_path / "loss.csv"
+    cfg = TrainingConfig(
+        seed=3, n_hints=0, batch_size=2, steps=4, lr=0.001, momentum=0.9,
+        weight_decay=0.0005, max_len=500, checkpoint_path=str(tmp_path / "ck.bin"),
+        checkpoint_every=2, data_path=str(data), vocab_file=str(vocab),
+        merges_file=str(merges), n_layers=1, d_model=16, n_heads=2, d_ff=32,
+        max_positions=128, loss_log=str(log),
+    )
+
+    class Crash(Exception):
+        pass
+
+    def crash_at_step_3(step, loss):
+        if step == 3:
+            raise Crash
+
+    # the crash comes after step 3 is logged but before it is checkpointed
+    with pytest.raises(Crash):
+        run_finetune(cfg, log=crash_at_step_3)
+    crashed = log.read_text(encoding="utf-8").splitlines()
+    assert [row.split(",")[0] for row in crashed] == ["step", "1", "2", "3"]
+
+    run_finetune(cfg)
+    rows = log.read_text(encoding="utf-8").splitlines()
+    assert [row.split(",")[0] for row in rows] == ["step", "1", "2", "3", "4"]
+    assert rows[:4] == crashed  # the resumed run repeats step 3 exactly
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,21 @@ from prefixlm.model import (
     build_prefix_mask,
     ffn,
     init_params,
-    masked_attention,
     multi_head_self_attention,
     param_count,
     param_spec,
     read_tensor_map,
     write_tensor_map,
 )
-from prefixlm.tensor import ComputationTape, GraphError, Tensor, backward, cross_entropy
+from prefixlm.tensor import (
+    ComputationTape,
+    GraphError,
+    ShapeError,
+    Tensor,
+    attention,
+    backward,
+    cross_entropy,
+)
 
 NEG_INF = float("-inf")
 
@@ -130,37 +137,38 @@ def test_embed_length_cap():
 # ---------------------------------------------------------------------------
 
 
-def _qkv(*arrays):
-    return [Tensor(np.asarray(a, dtype=np.float64)) for a in arrays]
+def _one_head(q, k, v, mask):
+    """attention over one head of the given query, key and value rows."""
+    qkv = np.concatenate([np.asarray(a, dtype=np.float64) for a in (q, k, v)], axis=1)
+    return attention(Tensor(qkv), np.asarray(mask, dtype=np.float64), 1).data
 
 
 def test_attention_single_key():
-    q, k, v = _qkv([[1.0, 2.0]], [[3.0, 4.0]], [[5.0, 6.0]])
-    out = masked_attention(q, k, v, np.zeros((1, 1)))
-    np.testing.assert_array_equal(out.data, [[5.0, 6.0]])
+    out = _one_head([[1.0, 2.0]], [[3.0, 4.0]], [[5.0, 6.0]], np.zeros((1, 1)))
+    np.testing.assert_array_equal(out, [[5.0, 6.0]])
 
 
 def test_attention_forced_single_attendee():
     rng = np.random.default_rng(0)
-    q, k, v = _qkv(*(rng.normal(size=(2, 3)) for _ in range(3)))
+    q, k, v = (rng.normal(size=(2, 3)) for _ in range(3))
     mask = np.array([[0.0, NEG_INF], [0.0, 0.0]])
-    out = masked_attention(q, k, v, mask)
-    np.testing.assert_array_equal(out.data[0], v.data[0])
+    out = _one_head(q, k, v, mask)
+    np.testing.assert_array_equal(out[0], v[0])
 
 
 def test_attention_uniform_weights():
     rng = np.random.default_rng(1)
     v = rng.normal(size=(2, 4))
-    zeros = Tensor(np.zeros((2, 4)))
-    out = masked_attention(zeros, zeros, Tensor(v), np.zeros((2, 2)))
-    np.testing.assert_allclose(out.data, np.tile(v.mean(axis=0), (2, 1)), atol=1e-6)
+    zeros = np.zeros((2, 4))
+    out = _one_head(zeros, zeros, v, np.zeros((2, 2)))
+    np.testing.assert_allclose(out, np.tile(v.mean(axis=0), (2, 1)), atol=1e-6)
 
 
 def test_attention_fully_masked_row():
-    q, k, v = _qkv(np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)))
+    ones = np.ones((2, 2))
     mask = np.array([[0.0, 0.0], [NEG_INF, NEG_INF]])
     with pytest.raises(ValueError, match="degenerate"):
-        masked_attention(q, k, v, mask)
+        _one_head(ones, ones, ones, mask)
 
 
 def _identity_block(d, d_ff=4):
@@ -331,6 +339,11 @@ def test_forward_logits_shape():
     assert logits.shape == (4, 16)
 
 
+def test_forward_rejects_mask_of_other_length():
+    with pytest.raises(ShapeError, match="mask"):
+        tiny_model().forward([1, 2, 3], build_causal_mask(2))
+
+
 def test_forward_deterministic():
     m = tiny_model(seed=9)
     tokens = [3, 1, 4, 1, 5]
@@ -338,6 +351,18 @@ def test_forward_deterministic():
     np.testing.assert_array_equal(
         m.forward(tokens, mask).data, m.forward(tokens, mask).data
     )
+
+
+def test_forward_tape_records_pinned():
+    # the memorization run's shape: 3 ops embed, 12 per block, 3 in the head
+    config = ModelConfig(
+        n_layers=4, d_model=64, n_heads=4, d_ff=256, vocab_size=458, max_positions=128
+    )
+    m = Model(config, init_params(config, seed=0))
+    tokens = list(range(1, 51))
+    with ComputationTape() as tape:
+        m.forward(tokens, build_prefix_mask(40, 10))
+    assert len(tape) == 54
 
 
 def test_causal_invariance_to_future_perturbation():

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import finite_difference_grads, grad_error
+from oracles import finite_difference_grads, grad_error, reference_attention
 
+from prefixlm.model import build_causal_mask, build_prefix_mask
 from prefixlm.tensor import (
     ComputationTape,
     GraphError,
     ShapeError,
     Tensor,
     add,
+    attention,
     backward,
-    concat_cols,
     cross_entropy,
     embedding_rows,
     gelu,
@@ -22,7 +23,6 @@ from prefixlm.tensor import (
     mul,
     relu,
     scale,
-    slice_cols,
     slice_rows,
     softmax_rows,
     sub,
@@ -303,9 +303,9 @@ OPS = {
     "gelu": lambda ts: _weighted(gelu(ts[0])),
     "softmax": lambda ts: _weighted(softmax_rows(ts[0])),
     "scale": lambda ts: _weighted(scale(ts[0], 0.37)),
-    "slice_cols": lambda ts: _weighted(slice_cols(ts[0], 1, 3)),
     "slice_rows": lambda ts: _weighted(slice_rows(ts[0], 1, 3)),
-    "concat": lambda ts: _weighted(concat_cols([ts[0], ts[1]])),
+    # 2 heads of width 2
+    "attention": lambda ts: _weighted(attention(ts[0], build_causal_mask(4, np.float64), 2)),
 }
 
 
@@ -315,8 +315,10 @@ def test_gradcheck_ops(name, seed):
     rng = np.random.default_rng(seed * 1000 + 17)
     if name == "matmul":
         arrays = [rng.normal(size=(4, 5)), rng.normal(size=(5, 3))]
-    elif name in ("add", "sub", "mul", "concat"):
+    elif name in ("add", "sub", "mul"):
         arrays = [rng.normal(size=(4, 5)), rng.normal(size=(4, 5))]
+    elif name == "attention":
+        arrays = [rng.normal(size=(4, 12))]
     else:
         arrays = [rng.normal(size=(4, 5))]
     _check_op(OPS[name], arrays)
@@ -358,6 +360,39 @@ def test_gradcheck_embedding_rows():
         return _weighted(embedding_rows(ts[0], ids))
 
     _check_op(build, [table])
+
+
+ATTENTION_MASKS = {
+    "causal": build_causal_mask(5, dtype=np.float64),
+    "prefix": build_prefix_mask(2, 3, dtype=np.float64),
+    "visible": np.zeros((5, 5)),
+}
+
+
+@pytest.mark.parametrize("mask_name", sorted(ATTENTION_MASKS))
+@pytest.mark.parametrize("n_heads", [1, 2, 3, 4])
+def test_attention_matches_per_head_reference(n_heads, mask_name):
+    mask = ATTENTION_MASKS[mask_name]
+    qkv = np.random.default_rng(n_heads).normal(size=(5, 36))  # d = 12
+    w = np.random.default_rng(99).normal(size=(5, 12))
+    results = []
+    for op in (attention, reference_attention):
+        leaf = t64(qkv, requires_grad=True)
+        with ComputationTape():
+            out = op(leaf, mask, n_heads)
+            backward(sum_all(mul(out, t64(w))))
+        results.append((out.data, leaf.grad))
+    (out, grad), (ref_out, ref_grad) = results
+    np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-10)
+
+
+def test_attention_rejects_mismatched_shapes():
+    qkv = t64(np.zeros((3, 12)))
+    with pytest.raises(ShapeError):
+        attention(qkv, np.zeros((3, 3)), 3)  # 12 columns are not 3 blocks of 3 heads
+    with pytest.raises(ShapeError):
+        attention(qkv, np.zeros((2, 2)), 2)
 
 
 @given(

@@ -1,5 +1,5 @@
-"""Arbitrary text fed to the JSONL and CSV readers: each returns records or
-raises its typed error naming path:line, and nothing else."""
+"""Arbitrary text fed to the corpus, JSONL and CSV readers: each returns
+records or raises its typed error naming path:line, and nothing else."""
 
 import json
 import re
@@ -9,7 +9,14 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from prefixlm.cli import _read_generated
-from prefixlm.data import CorpusParseError, RctExample, read_examples_jsonl
+from prefixlm.data import (
+    LABELS,
+    CorpusParseError,
+    RctAbstract,
+    RctExample,
+    parse_corpus,
+    read_examples_jsonl,
+)
 from prefixlm.rouge import (
     AnnotationRecord,
     RatingRecord,
@@ -44,16 +51,44 @@ def _csv_lines(n_columns):
     return st.lists(st.one_of(TEXT, row), max_size=5)
 
 
+def _corpus_lines():
+    """Lines that are mostly records and labeled sentences, some of them
+    with CRLF endings or bytes that are not UTF-8."""
+    text = st.one_of(
+        TEXT,
+        st.builds("###{}".format, TEXT),
+        st.builds("{}\t{}".format, st.sampled_from(LABELS + ("results", "FOO", "")), TEXT),
+    )
+    line = st.one_of(
+        text.map(lambda t: t.encode("utf-8")),
+        text.map(lambda t: t.encode("utf-8") + b"\r"),
+        st.binary(max_size=12),
+    )
+    return st.lists(line, max_size=8)
+
+
 def _read(lines, reader, error):
     """reader(path) on the lines: its records, or [] after a typed error."""
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "input.txt"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if all(isinstance(line, bytes) for line in lines):
+            path.write_bytes(b"\n".join(lines) + b"\n")
+        else:
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         try:
             return reader(path)
         except error as e:
             assert re.match(rf"{re.escape(str(path))}:\d+: ", str(e)), e
             return []
+
+
+@settings(max_examples=200, deadline=None)
+@given(_corpus_lines())
+def test_corpus_reader_is_total(lines):
+    abstracts = _read(lines, parse_corpus, CorpusParseError)
+    for a in abstracts:
+        assert isinstance(a, RctAbstract) and a.sentences
+        assert all(label in LABELS for label, _ in a.sentences)
 
 
 @settings(max_examples=200, deadline=None)

@@ -19,7 +19,8 @@ import heapq
 import re
 import unicodedata
 from collections import Counter
-from pathlib import Path
+
+from .data import _text_lines
 
 __all__ = [
     "Vocabulary",
@@ -310,7 +311,11 @@ def _escape(bs: bytes) -> str:
     return "".join(out)
 
 
-def _unescape(s: str) -> bytes:
+_HEX_BYTE = re.compile("[0-9a-fA-F]{2}")
+
+
+def _unescape(s: str, where: str) -> bytes:
+    """Inverse of _escape; errors are prefixed with `where` (path:line)."""
     out = bytearray()
     i = 0
     while i < len(s):
@@ -318,12 +323,14 @@ def _unescape(s: str) -> bytes:
         if ch != "\\":
             encoded = ch.encode("utf-8")
             if len(encoded) != 1 or not 0x20 <= encoded[0] < 0x7F:
-                raise TokenizerFileError(f"unescaped non-printable character {ch!r}")
+                raise TokenizerFileError(
+                    f"{where}: unescaped non-printable character {ch!r}"
+                )
             out.extend(encoded)
             i += 1
             continue
         if i + 1 >= len(s):
-            raise TokenizerFileError("dangling escape")
+            raise TokenizerFileError(f"{where}: dangling escape")
         nxt = s[i + 1]
         if nxt == "\\":
             out.append(0x5C)
@@ -332,15 +339,13 @@ def _unescape(s: str) -> bytes:
             out.append(0x09)
             i += 2
         elif nxt == "x":
-            if i + 4 > len(s):
-                raise TokenizerFileError("truncated \\xNN escape")
-            try:
-                out.append(int(s[i + 2 : i + 4], 16))
-            except ValueError as e:
-                raise TokenizerFileError(f"bad \\xNN escape in {s!r}") from e
+            digits = s[i + 2 : i + 4]
+            if not _HEX_BYTE.fullmatch(digits):
+                raise TokenizerFileError(f"{where}: bad \\xNN escape in {s!r}")
+            out.append(int(digits, 16))
             i += 4
         else:
-            raise TokenizerFileError(f"unknown escape \\{nxt}")
+            raise TokenizerFileError(f"{where}: unknown escape \\{nxt}")
     return bytes(out)
 
 
@@ -357,9 +362,7 @@ def save_vocabulary(tokenizer: Tokenizer, vocab_path, merges_path):
 def load_vocabulary(vocab_path, merges_path) -> Tokenizer:
     """Load tokenizer state saved by save_vocabulary, validating invariants."""
     by_id: dict[int, bytes] = {}
-    for lineno, line in enumerate(
-        Path(vocab_path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, line in _text_lines(vocab_path, TokenizerFileError):
         if not line:
             continue
         parts = line.split("\t", 1)
@@ -371,15 +374,13 @@ def load_vocabulary(vocab_path, merges_path) -> Tokenizer:
             raise TokenizerFileError(f"{vocab_path}:{lineno}: bad id {parts[0]!r}") from e
         if token_id in by_id:
             raise TokenizerFileError(f"{vocab_path}:{lineno}: duplicate id {token_id}")
-        by_id[token_id] = _unescape(parts[1])
+        by_id[token_id] = _unescape(parts[1], f"{vocab_path}:{lineno}")
     if sorted(by_id) != list(range(len(by_id))):
         raise TokenizerFileError(f"{vocab_path}: ids must be contiguous from 0")
     tokens = [by_id[i] for i in range(len(by_id))]
 
     pairs = []
-    for lineno, line in enumerate(
-        Path(merges_path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, line in _text_lines(merges_path, TokenizerFileError):
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
@@ -387,7 +388,8 @@ def load_vocabulary(vocab_path, merges_path) -> Tokenizer:
             raise TokenizerFileError(
                 f"{merges_path}:{lineno}: expected <left>TAB<right>"
             )
-        pairs.append((_unescape(parts[0]), _unescape(parts[1])))
+        where = f"{merges_path}:{lineno}"
+        pairs.append((_unescape(parts[0], where), _unescape(parts[1], where)))
 
     try:
         vocab = Vocabulary(tokens)

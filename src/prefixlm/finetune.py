@@ -16,12 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from .bpe import Tokenizer, load_vocabulary
-from .data import RctExample, read_examples_jsonl
+from .data import RctExample, _text_lines, read_examples_jsonl
 from .model import (
     Model,
     ModelConfig,
     ModelParams,
     build_prefix_mask,
+    check_tensors,
     init_params,
     params_from_tensors,
     read_tensor_map,
@@ -55,12 +56,11 @@ DEFAULT_MAX_ENCODED_LEN = 500
 
 @dataclass
 class EncodedExample:
-    """One training sequence; loss_mask is True exactly on target_ids."""
+    """One training sequence; the loss covers exactly its target_ids."""
 
     source_ids: list[int]  # source text (+ prompt when n_hints=0) + separator
     forced_prefix_ids: list[int]  # hint words, empty when n_hints=0
     target_ids: list[int]  # remaining conclusion + end-of-text
-    loss_mask: list[bool]
 
     @property
     def tokens(self) -> list[int]:
@@ -108,8 +108,7 @@ def prepare_example(
     else:
         target_ids = []
     target_ids = target_ids + [tokenizer.vocab.end_of_text_id]
-    loss_mask = [False] * (len(source_ids) + len(prefix_ids)) + [True] * len(target_ids)
-    return EncodedExample(source_ids, prefix_ids, target_ids, loss_mask)
+    return EncodedExample(source_ids, prefix_ids, target_ids)
 
 
 def filter_long(examples, max_len: int = DEFAULT_MAX_ENCODED_LEN):
@@ -164,12 +163,11 @@ def training_step(model: Model, batch, state: OptimizerState) -> float:
                 f"{model.config.max_positions}; filter_long should have dropped it"
             )
         mask = build_prefix_mask(len(ex.source_ids), t - len(ex.source_ids))
+        first = t - len(ex.target_ids)
         with ComputationTape():
             logits = model.forward(tokens, mask)
-            # token at position j is scored by the logits at position j-1
-            loss = cross_entropy(
-                slice_rows(logits, 0, t - 1), tokens[1:], ex.loss_mask[1:]
-            )
+            # target token j is scored by the logits at position j-1
+            loss = cross_entropy(slice_rows(logits, first - 1, t - 1), ex.target_ids)
             backward(scale(loss, inv))
         value = loss.item()
         if not np.isfinite(value):
@@ -213,14 +211,9 @@ def load_checkpoint(path, config: ModelConfig, state: OptimizerState, dtype=np.f
     params, optimizer, step = _read_params(path, config, dtype)
     if step is None:
         raise ValueError(f"{path}: checkpoint is missing its meta step line")
-    state.velocity = {}
-    for name, p in params.named():
-        key = f"optimizer.{name}.velocity"
-        if key not in optimizer:
-            raise ValueError(f"{path}: checkpoint is missing {key!r}")
-        if optimizer[key].shape != p.shape:
-            raise ValueError(f"{path}: velocity shape mismatch for {name!r}")
-        state.velocity[name] = optimizer[key].astype(dtype)
+    keys = {name: f"optimizer.{name}.velocity" for name, _ in params.named()}
+    check_tensors(optimizer, {keys[name]: p.shape for name, p in params.named()}, str(path))
+    state.velocity = {name: optimizer[key].astype(dtype) for name, key in keys.items()}
     return params, step
 
 
@@ -267,9 +260,7 @@ class TrainingConfig:
 def parse_training_config(path) -> TrainingConfig:
     """Read a key=value (UTF-8, # comments) training config file."""
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, line in _text_lines(path, ConfigError):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

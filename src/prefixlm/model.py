@@ -55,6 +55,7 @@ __all__ = [
     "init_params",
     "param_count",
     "params_from_tensors",
+    "check_tensors",
     "write_tensor_map",
     "read_tensor_map",
 ]
@@ -480,7 +481,10 @@ def read_tensor_map(path):
             payload = f.read(nbytes)
             if len(payload) != nbytes:
                 raise WeightFileError(f"{path}: truncated payload for {name!r}")
-            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+            try:
+                tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+            except ValueError as e:  # an empty payload under extents numpy cannot hold
+                raise WeightFileError(f"{path}: bad dims {dims} for {name!r}") from e
         meta_step = None
         trailer = f.read(_MAX_LINE + 1)
         if trailer:
@@ -499,6 +503,13 @@ def params_from_tensors(
 ) -> ModelParams:
     """Validate a {name: array} map against the config and build params."""
     expected = {name: shape for name, shape, _ in param_spec(config)}
+    check_tensors(tensors, expected, source)
+    return _build_params(config, (tensors[name] for name in expected), dtype)
+
+
+def check_tensors(tensors, expected, source):
+    """Raise WeightFileError unless `tensors` ({name: array}) holds exactly the
+    names of `expected` ({name: shape}), each with that shape and finite."""
     missing = sorted(set(expected) - set(tensors))
     if missing:
         raise WeightFileError(f"{source}: missing tensor {missing[0]!r}")
@@ -512,4 +523,3 @@ def params_from_tensors(
             )
         if not np.all(np.isfinite(tensors[name])):
             raise WeightFileError(f"{source}: {name!r} contains non-finite values")
-    return _build_params(config, (tensors[name] for name in expected), dtype)

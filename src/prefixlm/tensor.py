@@ -90,7 +90,9 @@ class Tensor:
 
     `data` is always a float32 or float64 numpy array. `grad` is allocated
     eagerly (zeros) for requires_grad leaves and lazily for tape outputs;
-    gradients accumulate across backward calls until `zero_grad()`.
+    gradients accumulate across backward calls until `zero_grad()`. Every
+    output recorded on a tape has requires_grad set, so that flag alone
+    says whether gradients flow into a tensor.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "tape")
@@ -137,7 +139,7 @@ class Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
-    if not (t.requires_grad or t.tape is not None):
+    if not t.requires_grad:
         return
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
@@ -148,9 +150,7 @@ def _wrap(data: np.ndarray, inputs, backward_fn) -> Tensor:
     """Make an op output, recording it when grads are live."""
     out = Tensor(data)
     tape = _active_tape
-    if tape is not None and any(
-        i.requires_grad or i.tape is not None for i in inputs
-    ):
+    if tape is not None and any(i.requires_grad for i in inputs):
         out.requires_grad = True
         out.grad = None  # lazy for intermediates
         out.tape = tape
@@ -450,7 +450,7 @@ def embedding_rows(table: Tensor, ids) -> Tensor:
         raise ValueError("embedding_rows: id out of range")
 
     def bw(g):
-        if not (table.requires_grad or table.tape is not None):
+        if not table.requires_grad:
             return
         if table.grad is None:
             table.grad = np.zeros_like(table.data)

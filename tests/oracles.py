@@ -1,9 +1,10 @@
 """Independent oracles shared across the test suite.
 
 Nothing in here touches the library's dynamic programming or its tokenizer,
-and only reference_attention touches its backward pass (through the 2-d
-tape ops, each of which is gradchecked on its own); these exist so the tests
-can check the fast paths against slow, obviously-correct computations.
+and only reference_attention and reference_masked_loss touch its backward
+pass (through tape ops that are gradchecked on their own); these exist so
+the tests can check the fast paths against slow, obviously-correct
+computations.
 """
 
 import unicodedata
@@ -11,7 +12,19 @@ from collections import Counter
 
 import numpy as np
 
-from prefixlm.tensor import Tensor, add, matmul, scale, softmax_rows, transpose
+from prefixlm.model import build_prefix_mask
+from prefixlm.tensor import (
+    ComputationTape,
+    Tensor,
+    add,
+    backward,
+    cross_entropy,
+    matmul,
+    scale,
+    slice_rows,
+    softmax_rows,
+    transpose,
+)
 
 
 def finite_difference_grads(f, arrays, h=1e-5):
@@ -174,3 +187,24 @@ def reference_attention(qkv, mask, n_heads):
         placed = matmul(head, Tensor(_columns(d, i * d_k, d_k).T, dtype=qkv.dtype))
         out = placed if out is None else add(out, placed)
     return out
+
+
+def reference_masked_loss(model, example):
+    """The per-example loss as every logits row scored under a per-token
+    mask, the slow path that scoring only the target slice replaces.
+
+    Row j-1 predicts token j; the mask is True exactly on the target ids.
+    Runs backward as training_step does for a batch of one (the loss scaled
+    by 1/1), so model.params hold the loss's gradients (added to whatever
+    they held); returns the loss value.
+    """
+    tokens = example.tokens
+    t = len(tokens)
+    n_context = len(example.source_ids) + len(example.forced_prefix_ids)
+    loss_mask = [False] * n_context + [True] * len(example.target_ids)
+    mask = build_prefix_mask(len(example.source_ids), t - len(example.source_ids))
+    with ComputationTape():
+        logits = model.forward(tokens, mask)
+        loss = cross_entropy(slice_rows(logits, 0, t - 1), tokens[1:], loss_mask[1:])
+        backward(scale(loss, 1.0))
+    return loss.item()

@@ -374,10 +374,9 @@ def test_acceptance_memorization_end_to_end():
         tokens = ex.tokens
         mask = build_prefix_mask(len(ex.source_ids), len(tokens) - len(ex.source_ids))
         logits = model.forward(tokens, mask).data
-        for j in range(1, len(tokens)):
-            if ex.loss_mask[j]:
-                total += 1
-                hits += int(np.argmax(logits[j - 1]) == tokens[j])
+        for j in range(len(tokens) - len(ex.target_ids), len(tokens)):
+            total += 1
+            hits += int(np.argmax(logits[j - 1]) == tokens[j])
     argmax_rate = hits / total
     assert argmax_rate >= 0.95, f"argmax matches only {argmax_rate:.2%} of targets"
 

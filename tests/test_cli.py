@@ -247,6 +247,30 @@ def test_finetune_missing_config_key_exit_2(tmp_path, corpus_file, capsys):
     assert "lr" in capsys.readouterr().err
 
 
+def test_finetune_config_not_utf8_names_path_and_line(tmp_path, corpus_file, capsys):
+    _, examples = _preprocess(tmp_path, corpus_file)
+    _, vocab, merges = _train_tokenizer(tmp_path, examples)
+    cfg = _write_config(tmp_path, examples, vocab, merges)
+    lineno = len(cfg.read_bytes().splitlines()) + 1
+    with open(cfg, "ab") as f:
+        f.write(b"seed=0\xff\n")
+    assert main(["finetune", "--config", str(cfg)]) == 2
+    assert f"{cfg}:{lineno}: line is not valid UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "ck.bin").exists()
+
+
+def test_generate_vocab_not_utf8_names_path_and_line(tmp_path, corpus_file, capsys):
+    _, examples = _preprocess(tmp_path, corpus_file)
+    _, vocab, merges = _train_tokenizer(tmp_path, examples)
+    cfg = _write_config(tmp_path, examples, vocab, merges)
+    lines = vocab.read_bytes().split(b"\n")
+    lines[66] = b"66\t\xff"
+    vocab.write_bytes(b"\n".join(lines))
+    assert main(["generate", "--config", str(cfg), "--examples", str(examples),
+                 "--out", str(tmp_path / "gen.jsonl")]) == 2
+    assert f"{vocab}:67: line is not valid UTF-8" in capsys.readouterr().err
+
+
 def test_score_length_mismatch_exit_2(tmp_path, corpus_file):
     _, examples = _preprocess(tmp_path, corpus_file)
     gen = tmp_path / "gen.jsonl"

@@ -1,6 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from prefixlm import finetune
 from prefixlm.bpe import save_vocabulary, train_merges
 from prefixlm.data import RctExample, write_examples_jsonl
 from prefixlm.finetune import (
@@ -20,8 +23,17 @@ from prefixlm.finetune import (
     split_hint_words,
     training_step,
 )
-from prefixlm.model import Model, ModelConfig, build_prefix_mask, init_params
-from prefixlm.tensor import ComputationTape, Tensor, backward, cross_entropy, slice_rows
+from prefixlm.model import (
+    Model,
+    ModelConfig,
+    WeightFileError,
+    init_params,
+    read_tensor_map,
+    write_tensor_map,
+)
+from prefixlm.tensor import Tensor, cross_entropy
+
+from oracles import reference_masked_loss
 
 SECTIONS = ("BACKGROUND", "OBJECTIVE", "RESULTS")
 
@@ -97,11 +109,13 @@ def test_prepare_all_words_hinted_leaves_eot_target(tok):
     assert ex.target_ids == [tok.vocab.end_of_text_id]
 
 
-def test_loss_mask_true_exactly_on_targets(tok):
+def test_example_holds_source_hint_and_target_ids(tok):
     ex = prepare_example(CORPUS[1], 1, tok)
-    n_src, n_pre, n_tgt = map(len, (ex.source_ids, ex.forced_prefix_ids, ex.target_ids))
-    assert ex.loss_mask == [False] * (n_src + n_pre) + [True] * n_tgt
-    assert len(ex) == n_src + n_pre + n_tgt
+    assert [f.name for f in fields(EncodedExample)] == [
+        "source_ids", "forced_prefix_ids", "target_ids"
+    ]
+    assert ex.tokens == ex.source_ids + ex.forced_prefix_ids + ex.target_ids
+    assert len(ex) == len(ex.tokens)
 
 
 def test_prepare_rejects_empty_source(tok):
@@ -120,7 +134,7 @@ def test_encode_source_no_prompt_for_hints(tok):
 
 
 def _fake_example(length):
-    return EncodedExample([0] * (length - 2), [], [1, 2], [False] * (length - 2) + [True, True])
+    return EncodedExample([0] * (length - 2), [], [1, 2])
 
 
 def test_filter_long_strict_boundary():
@@ -250,18 +264,27 @@ def test_rejects_overlong_sequence(tok):
         training_step(model, [ex], OptimizerState())
 
 
+def _capture_logits(model):
+    """Make model.forward keep each logits tensor it returns."""
+    seen = []
+
+    def forward(tokens, mask):
+        seen.append(Model.forward(model, tokens, mask))
+        return seen[-1]
+
+    model.forward = forward
+    return seen
+
+
 def test_gradient_zero_outside_predicting_rows(tok):
     model = tiny_model(tok, seed=5)
     ex = prepare_example(CORPUS[0], 1, tok)
-    tokens = ex.tokens
-    t = len(tokens)
-    mask = build_prefix_mask(len(ex.source_ids), t - len(ex.source_ids))
-    with ComputationTape():
-        logits = model.forward(tokens, mask)
-        loss = cross_entropy(slice_rows(logits, 0, t - 1), tokens[1:], ex.loss_mask[1:])
-        backward(loss)
+    t = len(ex)
+    seen = _capture_logits(model)
+    training_step(model, [ex], OptimizerState())
+    logits = seen[0]
     # row j-1 predicts token j; only rows predicting a target token get grads
-    predicting = {j - 1 for j in range(1, t) if ex.loss_mask[j]}
+    predicting = {j - 1 for j in range(t - len(ex.target_ids), t)}
     for row in range(t):
         row_grad = logits.grad[row]
         if row in predicting:
@@ -270,29 +293,44 @@ def test_gradient_zero_outside_predicting_rows(tok):
             assert np.all(row_grad == 0.0)
 
 
-def test_hint_tokens_condition_but_are_not_scored(tok):
+def test_hint_tokens_condition_but_are_not_scored(tok, monkeypatch):
     model = tiny_model(tok, seed=6)
     ex = prepare_example(CORPUS[3], 1, tok)
-    assert not any(
-        ex.loss_mask[len(ex.source_ids) : len(ex.source_ids) + len(ex.forced_prefix_ids)]
-    )
+    assert ex.forced_prefix_ids
+    scored = []
 
-    def loss_of(example):
-        tokens = example.tokens
-        t = len(tokens)
-        mask = build_prefix_mask(len(example.source_ids), t - len(example.source_ids))
-        logits = model.forward(tokens, mask)
-        return cross_entropy(
-            slice_rows(logits, 0, t - 1), tokens[1:], example.loss_mask[1:]
-        ).item()
+    def spy(logits, targets, loss_mask=None):
+        scored.append(list(targets))
+        return cross_entropy(logits, targets, loss_mask)
+
+    monkeypatch.setattr(finetune, "cross_entropy", spy)
+
+    def loss_of(example):  # lr 0 leaves the parameters as they are
+        return training_step(model, [example], OptimizerState(lr=0.0))
 
     changed = EncodedExample(
         ex.source_ids,
         [(ex.forced_prefix_ids[0] + 1) % len(tok.vocab)] + ex.forced_prefix_ids[1:],
         ex.target_ids,
-        ex.loss_mask,
     )
     assert loss_of(changed) != loss_of(ex)
+    assert scored == [ex.target_ids, ex.target_ids]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_hints", [0, 1, 2])
+def test_target_slice_matches_masked_loss(tok, n_hints, dtype):
+    # the loss and every gradient equal the all-rows masked loss exactly
+    ex = prepare_example(CORPUS[2], n_hints, tok)
+    assert len(ex.forced_prefix_ids) >= n_hints
+    config = tiny_model(tok).config
+    ref = Model(config, init_params(config, 8, dtype=dtype))
+    want = reference_masked_loss(ref, ex)
+    model = Model(config, init_params(config, 8, dtype=dtype))
+    assert training_step(model, [ex], OptimizerState(lr=0.0)) == want
+    for (name, p), (_, r) in zip(model.params.named(), ref.params.named()):
+        assert p.dtype == dtype
+        np.testing.assert_array_equal(p.grad, r.grad, err_msg=name)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +353,35 @@ def test_checkpoint_roundtrip(tmp_path, tok):
         np.testing.assert_array_equal(pa.data, pb.data)
     for name in state.velocity:
         np.testing.assert_array_equal(state.velocity[name], state2.velocity[name])
+
+
+@pytest.mark.parametrize("change, problem", [
+    ("missing", "missing tensor"),
+    ("shape", "has shape"),
+    ("non-finite", "non-finite"),
+    ("unexpected", "unexpected tensor"),
+])
+def test_checkpoint_velocities_are_checked(tmp_path, tok, change, problem):
+    model = tiny_model(tok, seed=7)
+    state = OptimizerState()
+    training_step(model, [prepare_example(CORPUS[0], 0, tok)], state)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, model.params, state, step=1)
+    tensors, step = read_tensor_map(path)
+    key = "optimizer.block1.ffn_w1.weight.velocity"
+    if change == "missing":
+        del tensors[key]
+    elif change == "shape":
+        tensors[key] = tensors[key][:, :-1]
+    elif change == "non-finite":
+        tensors[key][0, 0] = np.nan
+    else:
+        key = "optimizer.block1.extra.velocity"
+        tensors[key] = np.zeros(3, dtype=np.float32)
+    write_tensor_map(path, tensors.items(), meta_step=step)
+    with pytest.raises(WeightFileError, match=problem) as err:
+        load_checkpoint(path, model.config, OptimizerState())
+    assert f"{path}: " in str(err.value) and repr(key) in str(err.value)
 
 
 def test_resume_matches_straight_run(tmp_path, tok):

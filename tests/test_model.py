@@ -1,5 +1,10 @@
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import finite_difference_grads, grad_error
 
@@ -658,6 +663,15 @@ def test_tensor_map_huge_dims_fail_fast(tmp_path):
     assert str(path) in str(err.value)
 
 
+def test_tensor_map_empty_payload_with_oversized_dims(tmp_path):
+    # zero elements need no payload, but numpy cannot hold a 10^30 extent
+    path = tmp_path / "map.bin"
+    path.write_bytes(b"PFXLM1 1\na\t2\t0 1000000000000000000000000000000\n")
+    with pytest.raises(WeightFileError, match="bad dims") as err:
+        read_tensor_map(path)
+    assert str(path) in str(err.value)
+
+
 def test_tensor_map_bad_meta_step(tmp_path):
     path = tmp_path / "map.bin"
     write_tensor_map(path, [("a", np.zeros(2, dtype=np.float32))])
@@ -686,3 +700,69 @@ def test_tensor_map_write_replaces_old_file(tmp_path):
     tensors, step = read_tensor_map(path)
     assert step == 2 and list(tensors) == ["b"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.bin"]
+
+
+def _valid_weights_file():
+    """The bytes of a TINY weights file with a meta step line."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "weights.bin"
+        write_tensor_map(path, ((n, p.data) for n, p in init_params(TINY, 3).named()),
+                         meta_step=4)
+        return path.read_bytes()
+
+
+def _text_offsets(data):
+    """Offsets of the bytes of a tensor map's header, tensor and meta lines,
+    where an edit changes the structure rather than a float."""
+    offsets, pos = [], 0
+    while pos < len(data):
+        end = data.index(b"\n", pos) + 1
+        offsets.extend(range(pos, end))
+        fields = data[pos : end - 1].split(b"\t")
+        pos = end
+        if len(fields) == 3:  # name, rank, dims: a float32 payload follows
+            pos += 4 * math.prod(int(x) for x in fields[2].split())
+    return offsets
+
+
+_WEIGHTS = _valid_weights_file()
+_EDIT = st.tuples(
+    st.sampled_from(["replace", "insert", "delete", "truncate"]),
+    st.one_of(st.integers(0, len(_WEIGHTS)), st.sampled_from(_text_offsets(_WEIGHTS))),
+    st.sampled_from(b"0123456789- \t\n\xff\x00\x7f"),
+)
+
+
+def _mutate(data, edits):
+    """data after each (kind, offset, byte) edit in turn."""
+    buf = bytearray(data)
+    for kind, pos, byte in edits:
+        pos = min(pos, len(buf))
+        if kind == "replace" and pos < len(buf):
+            buf[pos] = byte
+        elif kind == "insert":
+            buf.insert(pos, byte)
+        elif kind == "delete":
+            del buf[pos : pos + 1]
+        elif kind == "truncate":
+            del buf[pos:]
+    return bytes(buf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=64),
+    st.binary(max_size=64).map(lambda tail: b"PFXLM1 " + tail),
+    st.lists(_EDIT, min_size=1, max_size=4).map(lambda edits: _mutate(_WEIGHTS, edits)),
+))
+def test_weights_reader_is_total(data):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "weights.bin"
+        path.write_bytes(data)
+        try:
+            params = load_model_weights(path, TINY)
+        except WeightFileError as e:
+            assert str(e).startswith(f"{path}: "), e
+            return
+    for (name, shape, _), (_, p) in zip(param_spec(TINY), params.named()):
+        assert p.shape == shape and np.all(np.isfinite(p.data)), name

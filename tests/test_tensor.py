@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import finite_difference_grads, grad_error, reference_attention
 
@@ -150,14 +150,18 @@ def test_layer_norm_scale_shift():
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(2, 8))
+@example(seed=974504, r=2, d=2)  # a row of variance 8.6e-7 normalizes to 0.99988
 @settings(max_examples=40, deadline=None)
 def test_layer_norm_row_moments(seed, r, d):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(r, d)) * 3 + 1
     gamma, beta = _unit_affine(d)
-    out = layer_norm(t64(x), gamma, beta, eps=1e-10).data
+    eps = 1e-10
+    out = layer_norm(t64(x), gamma, beta, eps=eps).data
     np.testing.assert_allclose(out.mean(axis=1), np.zeros(r), atol=1e-6)
-    np.testing.assert_allclose(out.var(axis=1), np.ones(r), atol=1e-4)
+    # (x - mu) / sqrt(v + eps) has variance v / (v + eps), not exactly 1
+    v = x.var(axis=1)
+    np.testing.assert_allclose(out.var(axis=1), v / (v + eps), rtol=0, atol=1e-6)
 
 
 def test_layer_norm_rejects_bad_eps():

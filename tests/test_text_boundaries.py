@@ -1,13 +1,16 @@
-"""Arbitrary text fed to the corpus, JSONL and CSV readers: each returns
-records or raises its typed error naming path:line, and nothing else."""
+"""Arbitrary text fed to the corpus, JSONL, CSV, training-config and
+vocabulary/merges readers: each returns records or raises its typed error
+naming path:line (or the path, for a whole-file problem), and nothing else."""
 
 import json
 import re
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from prefixlm.bpe import TokenizerFileError, load_vocabulary, save_vocabulary, train_merges
 from prefixlm.cli import _read_generated
 from prefixlm.data import (
     LABELS,
@@ -17,6 +20,7 @@ from prefixlm.data import (
     parse_corpus,
     read_examples_jsonl,
 )
+from prefixlm.finetune import ConfigError, TrainingConfig, parse_training_config
 from prefixlm.rouge import (
     AnnotationRecord,
     RatingRecord,
@@ -59,16 +63,23 @@ def _corpus_lines():
         st.builds("###{}".format, TEXT),
         st.builds("{}\t{}".format, st.sampled_from(LABELS + ("results", "FOO", "")), TEXT),
     )
+    return _byte_lines(text)
+
+
+def _byte_lines(text, max_size=8):
+    """Lists of the text lines as UTF-8, some with CRLF endings, mixed with
+    bytes that are not UTF-8."""
     line = st.one_of(
         text.map(lambda t: t.encode("utf-8")),
         text.map(lambda t: t.encode("utf-8") + b"\r"),
         st.binary(max_size=12),
     )
-    return st.lists(line, max_size=8)
+    return st.lists(line, max_size=max_size)
 
 
-def _read(lines, reader, error):
-    """reader(path) on the lines: its records, or [] after a typed error."""
+def _read(lines, reader, error, whole_file_errors=False):
+    """reader(path) on the lines: its records, or [] after a typed error
+    naming path:line (or just the path, with whole_file_errors)."""
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "input.txt"
         if all(isinstance(line, bytes) for line in lines):
@@ -78,7 +89,8 @@ def _read(lines, reader, error):
         try:
             return reader(path)
         except error as e:
-            assert re.match(rf"{re.escape(str(path))}:\d+: ", str(e)), e
+            where = r"(\d+:)?" if whole_file_errors else r"\d+:"
+            assert re.match(rf"{re.escape(str(path))}:{where} ", str(e)), e
             return []
 
 
@@ -122,3 +134,87 @@ def test_annotations_csv_reader_is_total(lines):
 def test_ratings_csv_reader_is_total(lines):
     records = _read(lines, read_ratings_csv, ValueError)
     assert all(isinstance(r, RatingRecord) for r in records)
+
+
+def _config_lines():
+    """Lines that are mostly key=value pairs of training-config keys, some
+    of them a whole config with values of the right type followed by a few
+    lines that may override them."""
+    by_type = {"int": st.integers(-3, 10**6).map(str), "float": st.floats().map(str)}
+    keys = [f.name for f in fields(TrainingConfig)]
+    pair = st.builds("{}={}".format, st.sampled_from(keys + ["", "bogus"]),
+                     st.one_of(TEXT, *by_type.values()))
+    text = st.one_of(TEXT, pair, st.builds("# {}".format, TEXT))
+    whole = st.tuples(*(
+        by_type.get(f.type, TEXT).map(f"{f.name}={{}}".format)
+        for f in fields(TrainingConfig)
+    )).map(lambda pairs: [p.encode("utf-8") for p in pairs])
+    return st.one_of(
+        _byte_lines(text),
+        st.builds(list.__add__, whole, _byte_lines(text, max_size=2)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_config_lines())
+def test_training_config_reader_is_total(lines):
+    config = _read(lines, parse_training_config, ConfigError, whole_file_errors=True)
+    assert config == [] or isinstance(config, TrainingConfig)
+
+
+_TOKENIZER = train_merges(["the cat sat on the mat", "a tab\there", "caf\u00e9 \\x"], 8)
+# escaped tokens of the vocabulary, some escapes that are not, and plain text
+_TOKEN_TEXT = st.one_of(
+    st.sampled_from(["at", "\\x41", "\\t", "\\\\", "\\", "\\q", "\\x-1", "\\x4", "\\xzz"]),
+    st.builds("{}{}".format, st.sampled_from(["t", "h", "e", " ", "\\xc3"]),
+              st.sampled_from(["h", "e", " t", "\\xa9", ""])),
+    TEXT,
+)
+
+
+def _saved_tokenizer_lines():
+    with tempfile.TemporaryDirectory() as d:
+        vocab, merges = Path(d) / "vocab.tsv", Path(d) / "merges.tsv"
+        save_vocabulary(_TOKENIZER, vocab, merges)
+        return vocab.read_bytes().splitlines(), merges.read_bytes().splitlines()
+
+
+_VOCAB_LINES, _MERGES_LINES = _saved_tokenizer_lines()
+
+
+def _read_tokenizer_file(lines, fixed_name, fixed_lines):
+    """_read of load_vocabulary on the lines as one of its two files and
+    the saved fixed_lines as the other, "vocab.tsv" or "merges.tsv"."""
+    with tempfile.TemporaryDirectory() as d:
+        fixed = Path(d) / fixed_name
+        fixed.write_bytes(b"".join(line + b"\n" for line in fixed_lines))
+
+        def reader(path):
+            files = (fixed, path) if fixed_name == "vocab.tsv" else (path, fixed)
+            return load_vocabulary(*files)
+
+        return _read(lines, reader, TokenizerFileError, whole_file_errors=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans(), _byte_lines(st.one_of(
+    st.builds("{}\t{}".format, st.integers(-1, len(_VOCAB_LINES) + 2), _TOKEN_TEXT),
+    TEXT,
+), max_size=4))
+def test_vocabulary_reader_is_total(full_base, lines):
+    # the 256 byte tokens and the merged ones first, so most inputs get past
+    # the whole-vocabulary checks; the merges file is empty
+    base = _VOCAB_LINES if full_base else _VOCAB_LINES[:256]
+    tok = _read_tokenizer_file(base + lines, "merges.tsv", [])
+    assert tok == [] or tok.vocab.base_size >= len(base)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_byte_lines(st.one_of(
+    st.builds("{}\t{}".format, _TOKEN_TEXT, _TOKEN_TEXT),
+    st.builds("# {}".format, TEXT),
+    TEXT,
+)))
+def test_merges_reader_is_total(lines):
+    tok = _read_tokenizer_file(_MERGES_LINES + lines, "vocab.tsv", _VOCAB_LINES)
+    assert tok == [] or len(tok.merges) >= len(_MERGES_LINES)

@@ -57,6 +57,16 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def _blas():
+    """{"name", "version"} of the BLAS numpy was built with, or None when
+    numpy does not report it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26, or no BLAS reported
+        return None
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def _write_manifest(out_path, command: str, inputs: dict, outputs: list,
                     seed=None, config=None, started=None):
     manifest = {
@@ -70,6 +80,7 @@ def _write_manifest(out_path, command: str, inputs: dict, outputs: list,
         "version": VERSION_STRING,
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas": _blas(),
         "blas_threads": {v: os.environ.get(v) for v in _BLAS_THREAD_VARS},
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,

@@ -157,11 +157,6 @@ def training_step(model: Model, batch, state: OptimizerState) -> float:
     for ex in batch:
         tokens = ex.tokens
         t = len(tokens)
-        if t > model.config.max_positions:
-            raise ValueError(
-                f"sequence of {t} tokens exceeds max_positions "
-                f"{model.config.max_positions}; filter_long should have dropped it"
-            )
         mask = build_prefix_mask(len(ex.source_ids), t - len(ex.source_ids))
         first = t - len(ex.target_ids)
         with ComputationTape():
@@ -279,6 +274,8 @@ def parse_training_config(path) -> TrainingConfig:
         try:
             # annotations are strings here (postponed evaluation)
             kwargs[f.name] = {"int": int, "float": float}.get(f.type, str)(value)
+            if f.type == "float" and not np.isfinite(kwargs[f.name]):
+                raise ValueError("not a finite number")
         except ValueError as e:
             raise ConfigError(f"{path}: bad value for {f.name!r}: {value!r}") from e
     if raw:

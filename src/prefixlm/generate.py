@@ -56,8 +56,7 @@ def generate_greedy(
     prefix_ids = tokenizer.encode(" ".join(hint_words)) if hint_words else []
     prompt = source_ids + prefix_ids
     # the last new token is emitted, never fed back in
-    length = len(prompt) + config.max_new_tokens - 1
-    if length > model.config.max_positions:
+    if len(prompt) + config.max_new_tokens - 1 > model.config.max_positions:
         raise ValueError(
             f"source+prefix of {len(prompt)} tokens leaves no room for "
             f"{config.max_new_tokens} new tokens under max_positions "
@@ -66,7 +65,7 @@ def generate_greedy(
 
     eot = tokenizer.vocab.end_of_text_id
     trace = list(prefix_ids)
-    logits, cache = model.prefill(prompt, len(source_ids), capacity=length)
+    logits, cache = model.prefill(prompt, len(source_ids))
     for k in range(config.max_new_tokens):
         next_id = int(np.argmax(logits))  # argmax: lowest id wins ties
         trace.append(next_id)

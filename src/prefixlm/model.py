@@ -158,9 +158,6 @@ class ModelParams:
         for _, p in self.named():
             p.zero_grad()
 
-    def n_parameters(self) -> int:
-        return sum(p.size for _, p in self.named())
-
 
 # ---------------------------------------------------------------------------
 # attention masks
@@ -245,13 +242,9 @@ class KVCache:
     more token needs only that token's row in each layer.
     """
 
-    keys: np.ndarray  # n_layers x n_heads x capacity x d_k
+    keys: np.ndarray  # n_layers x n_heads x max_positions x d_k
     values: np.ndarray  # same shape as keys
     length: int = 0
-
-    @property
-    def capacity(self) -> int:
-        return self.keys.shape[2]
 
 
 def _cached_attention(
@@ -285,7 +278,9 @@ class Model:
         self.params = params
 
     def embed(self, token_ids, start: int = 0) -> Tensor:
-        """Token plus position embeddings of tokens at positions start onward."""
+        """Token plus position embeddings of tokens at positions start onward;
+        the one check of a sequence against max_positions, made before any op
+        runs or any cache row is written."""
         token_ids = np.asarray(token_ids, dtype=np.int64)
         stop = start + token_ids.shape[0]
         if stop > self.config.max_positions:
@@ -309,31 +304,22 @@ class Model:
             x = block_forward(x, mask, block, self.config.n_heads, self.config.activation)
         return self._head(x)
 
-    def prefill(self, token_ids, m: int, capacity: int | None = None):
+    def prefill(self, token_ids, m: int):
         """Run a prompt of m source tokens (then target tokens) once under
         the prefix mask; returns (next-token logits of its last row, cache).
 
-        The cache holds room for `capacity` positions (default
-        max_positions), so that step() can add capacity - len(token_ids).
+        The cache has a row for each of the max_positions positions, left
+        uninitialized: rows that decoding never reaches are never touched.
         """
-        t = len(token_ids)
-        capacity = self.config.max_positions if capacity is None else capacity
-        if not t <= capacity <= self.config.max_positions:
-            raise ValueError(
-                f"cache capacity {capacity} must cover the {t}-token prompt and "
-                f"stay within max_positions {self.config.max_positions}"
-            )
-        mask = build_prefix_mask(m, t - m)
+        mask = build_prefix_mask(m, len(token_ids) - m)
         dtype = self.params.embed_token.dtype
-        shape = (self.config.n_layers, self.config.n_heads, capacity, self.config.d_k)
+        c = self.config
+        shape = (c.n_layers, c.n_heads, c.max_positions, c.d_k)
         cache = KVCache(np.empty(shape, dtype), np.empty(shape, dtype))
-        logits = self._extend(cache, token_ids, mask)
-        return logits, cache
+        return self._extend(cache, token_ids, mask), cache
 
     def step(self, cache: KVCache, token_id: int) -> np.ndarray:
         """Append one token after the cached positions; its next-token logits."""
-        if cache.length >= cache.capacity:
-            raise ValueError(f"cache is full at {cache.capacity} positions")
         return self._extend(cache, [token_id], None)
 
     def _extend(self, cache: KVCache, token_ids, mask) -> np.ndarray:

@@ -163,17 +163,21 @@ def backward(loss: Tensor):
 
     `loss` must be a scalar produced on a tape. Gradients sum into `.grad`
     buffers; leaves the loss does not reach keep their current (zeroed)
-    gradients.
+    gradients. Consumes the tape: each record is dropped once replayed, so
+    activations are freed during the pass, and a second backward raises.
     """
     if loss.tape is None:
         raise GraphError("backward() on a value that is not on a tape")
     if loss.data.shape != ():
         raise ShapeError(f"backward() needs a scalar, got shape {loss.shape}")
+    records = loss.tape._records
+    if not records:
+        raise GraphError("backward() on a tape that was already replayed")
     _accumulate(loss, np.ones((), dtype=loss.dtype))
-    for out, inputs, backward_fn in reversed(loss.tape._records):
-        if out.grad is None:
-            continue  # not reached from this loss
-        backward_fn(out.grad)
+    while records:
+        out, _, backward_fn = records.pop()
+        if out.grad is not None:  # None: not reached from this loss
+            backward_fn(out.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +303,10 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     m = x.max(axis=-1, keepdims=True)
     if np.any(np.isneginf(m)):
         raise ValueError("softmax: row is entirely -inf (degenerate row)")
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - m
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -425,7 +431,11 @@ def attention(qkv: Tensor, mask: np.ndarray, n_heads: int) -> Tensor:
     def bw(g):
         g = g.reshape(t, n_heads, -1).transpose(1, 0, 2)  # [H, T, d_k]
         dw = np.matmul(g, v.transpose(0, 2, 1))
-        ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True)) * c
+        # ds = w * (dw - rowsum(dw * w)) * c, in place: fresh [H, T, T] buffers page-fault
+        ds = dw
+        ds -= (dw * w).sum(axis=-1, keepdims=True)
+        ds *= w
+        ds *= c
         grad = np.empty_like(qkv.data)
         dq, dk, dv = split_heads(grad, n_heads)
         dq[...] = np.matmul(ds, k)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from prefixlm.cli import main
@@ -93,6 +94,8 @@ def test_manifest_records_environment(tmp_path, corpus_file, monkeypatch):
     assert threads["OPENBLAS_NUM_THREADS"] == "1"
     assert threads["MKL_NUM_THREADS"] is None
     assert manifest["peak_rss_mb"] > 0
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
 
 
 def test_preprocess_results_only_ablation(tmp_path, corpus_file):
@@ -245,6 +248,24 @@ def test_finetune_missing_config_key_exit_2(tmp_path, corpus_file, capsys):
     cfg.write_text(cfg.read_text().replace("lr=0.001\n", ""), encoding="utf-8")
     assert main(["finetune", "--config", str(cfg)]) == 2
     assert "lr" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["lr", "momentum", "weight_decay"])
+def test_finetune_non_finite_optimizer_setting_exit_2(tmp_path, corpus_file, capsys,
+                                                      key, value):
+    _, examples = _preprocess(tmp_path, corpus_file)
+    _, vocab, merges = _train_tokenizer(tmp_path, examples)
+    cfg = _write_config(tmp_path, examples, vocab, merges)
+    lines = [f"{key}={value}" if line.startswith(f"{key}=") else line
+             for line in cfg.read_text().splitlines()]
+    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["finetune", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert repr(key) in captured.err
+    assert "step" not in captured.out
+    assert not (tmp_path / "loss.csv").exists()
 
 
 def test_finetune_config_not_utf8_names_path_and_line(tmp_path, corpus_file, capsys):

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -31,7 +33,7 @@ from prefixlm.model import (
     read_tensor_map,
     write_tensor_map,
 )
-from prefixlm.tensor import Tensor, cross_entropy
+from prefixlm.tensor import Tensor, active_tape, cross_entropy
 
 from oracles import reference_masked_loss
 
@@ -262,6 +264,26 @@ def test_rejects_overlong_sequence(tok):
     ex = _fake_example(model.config.max_positions + 5)
     with pytest.raises(ValueError, match="max_positions"):
         training_step(model, [ex], OptimizerState())
+
+
+def test_training_step_leaves_no_tape_alive(tok):
+    # backward consumes each tape, so none waits for the cyclic collector
+    model = tiny_model(tok, seed=5)
+    tapes = []
+
+    def forward(tokens, mask):
+        tapes.append(weakref.ref(active_tape()))
+        return Model.forward(model, tokens, mask)
+
+    model.forward = forward
+    batch = [prepare_example(e, 1, tok) for e in CORPUS]
+    gc.disable()
+    try:
+        training_step(model, batch, OptimizerState())
+        alive = [ref() is not None for ref in tapes]
+    finally:
+        gc.enable()
+    assert alive == [False] * len(batch)
 
 
 def _capture_logits(model):

@@ -442,8 +442,9 @@ def test_cached_decoding_matches_full_forward(activation, m, n_hints):
     logits, cache = model.prefill(tokens[:prompt], m)
     rows = [logits] + [model.step(cache, tok) for tok in tokens[prompt:]]
     np.testing.assert_allclose(np.array(rows), full[prompt - 1:], rtol=0, atol=1e-5)
-    with pytest.raises(ValueError, match="cache is full"):
+    with pytest.raises(ValueError, match="max_positions"):
         model.step(cache, tokens[0])
+    assert cache.length == config.max_positions
     with ComputationTape(), pytest.raises(GraphError):
         model.prefill(tokens[:prompt], m)
 
@@ -550,7 +551,7 @@ def test_init_params_draws_in_file_order(dtype):
 
 
 def test_param_count_matches_instantiated_params():
-    assert param_count(TINY) == init_params(TINY, 0).n_parameters()
+    assert param_count(TINY) == sum(p.size for _, p in init_params(TINY, 0).named())
 
 
 def test_full_scale_param_count():

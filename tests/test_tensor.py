@@ -256,6 +256,17 @@ def test_gradients_accumulate_until_zeroed():
     np.testing.assert_array_equal(x.grad, [[0.0]])
 
 
+def test_backward_consumes_its_tape():
+    x = t64([[2.0]], requires_grad=True)
+    with ComputationTape() as tape:
+        y = sum_all(mul(x, x))
+        backward(y)
+        assert len(tape) == 0
+        with pytest.raises(GraphError):
+            backward(y)
+    np.testing.assert_allclose(x.grad, [[4.0]])
+
+
 def test_shared_value_grads_sum():
     x = t64([[1.5]], requires_grad=True)
     with ComputationTape():

@@ -60,11 +60,13 @@ print("layer_norm [1, 3] ->", layer_norm(row, gamma, beta, eps=1e-12).data)
 logits = Tensor(np.array([[1.0, 2.0]]), dtype=np.float64)
 print("cross_entropy([1,2], target 0) =", cross_entropy(logits, [0]).item())
 
-# gradients accumulate until zeroed, which is what the trainer relies on
+# no gradient exists until the first backward reaches p; later ones add in
+# until zero_grad drops the buffer, which is what the trainer relies on
 p = Tensor(np.array([2.0]), requires_grad=True, dtype=np.float64)
+print("\ngrad before any backward pass:", p.grad)
 for _ in range(3):
     with ComputationTape():
         backward(sum_all(mul(p, p)))
-print("\ngrad after three backward passes (3 * 2x):", p.grad)
+print("grad after three backward passes (3 * 2x):", p.grad)
 p.zero_grad()
 print("after zero_grad:", p.grad)

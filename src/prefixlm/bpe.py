@@ -190,12 +190,8 @@ class Tokenizer:
         word = [bytes([b]) for b in unit]
         ranks = self.merges.ranks
         while len(word) > 1:
-            best = min(
-                zip(word, word[1:]),
-                key=lambda p: ranks.get(p, len(ranks)),
-                default=None,
-            )
-            if best is None or best not in ranks:
+            best = min(zip(word, word[1:]), key=lambda p: ranks.get(p, len(ranks)))
+            if best not in ranks:
                 break
             word = _merge_word(word, best)
         return word

@@ -28,7 +28,6 @@ __all__ = [
 ]
 
 LABELS = ("BACKGROUND", "OBJECTIVE", "METHODS", "RESULTS", "CONCLUSIONS")
-DEFAULT_SOURCE_SECTIONS = ("BACKGROUND", "OBJECTIVE", "RESULTS")
 
 
 class CorpusParseError(ValueError):

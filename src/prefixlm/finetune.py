@@ -133,10 +133,7 @@ def sgd_update(params: ModelParams, state: OptimizerState):
     """v <- momentum*v + (g + weight_decay*p); p <- p - lr*v."""
     for name, p in params.named():
         g = p.grad + state.weight_decay * p.data
-        v = state.velocity.get(name)
-        if v is None:
-            v = np.zeros_like(p.data)
-        v = state.momentum * v + g
+        v = state.momentum * state.velocity.get(name, 0.0) + g
         state.velocity[name] = v
         p.data -= state.lr * v
 
@@ -188,27 +185,27 @@ def save_checkpoint(path, params: ModelParams, state: OptimizerState, step: int)
     write_tensor_map(path, items, meta_step=step)
 
 
-def _read_params(path, config: ModelConfig, dtype):
+def _read_params(path, config: ModelConfig):
     """Validated params of a weights file or checkpoint, plus its optimizer
     tensors ({name: array}) and meta step."""
     tensors, step = read_tensor_map(path)
     optimizer = {n: tensors.pop(n) for n in list(tensors) if n.startswith("optimizer.")}
-    return params_from_tensors(tensors, config, dtype=dtype, source=str(path)), optimizer, step
+    return params_from_tensors(tensors, config, source=str(path)), optimizer, step
 
 
-def load_model_weights(path, config: ModelConfig, dtype=np.float32) -> ModelParams:
+def load_model_weights(path, config: ModelConfig) -> ModelParams:
     """Model params from a weights file or checkpoint (optimizer state ignored)."""
-    return _read_params(path, config, dtype)[0]
+    return _read_params(path, config)[0]
 
 
-def load_checkpoint(path, config: ModelConfig, state: OptimizerState, dtype=np.float32):
+def load_checkpoint(path, config: ModelConfig, state: OptimizerState):
     """Restore (params, step) and refill state.velocity from a checkpoint."""
-    params, optimizer, step = _read_params(path, config, dtype)
+    params, optimizer, step = _read_params(path, config)
     if step is None:
         raise ValueError(f"{path}: checkpoint is missing its meta step line")
     keys = {name: f"optimizer.{name}.velocity" for name, _ in params.named()}
     check_tensors(optimizer, {keys[name]: p.shape for name, p in params.named()}, str(path))
-    state.velocity = {name: optimizer[key].astype(dtype) for name, key in keys.items()}
+    state.velocity = {name: optimizer[key] for name, key in keys.items()}
     return params, step
 
 
@@ -252,6 +249,9 @@ class TrainingConfig:
         return ModelConfig(vocab_size=vocab_size, **dims)
 
 
+_LOWER_BOUNDS = {"steps": 0, "batch_size": 1}  # smallest accepted value of an int key
+
+
 def parse_training_config(path) -> TrainingConfig:
     """Read a key=value (UTF-8, # comments) training config file."""
     raw: dict[str, str] = {}
@@ -273,9 +273,11 @@ def parse_training_config(path) -> TrainingConfig:
         value = raw.pop(f.name)
         try:
             # annotations are strings here (postponed evaluation)
-            kwargs[f.name] = {"int": int, "float": float}.get(f.type, str)(value)
-            if f.type == "float" and not np.isfinite(kwargs[f.name]):
+            v = kwargs[f.name] = {"int": int, "float": float}.get(f.type, str)(value)
+            if f.type == "float" and not np.isfinite(v):
                 raise ValueError("not a finite number")
+            if f.name in _LOWER_BOUNDS and v < _LOWER_BOUNDS[f.name]:
+                raise ValueError(f"less than {_LOWER_BOUNDS[f.name]}")
         except ValueError as e:
             raise ConfigError(f"{path}: bad value for {f.name!r}: {value!r}") from e
     if raw:

@@ -164,16 +164,16 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 
 
-def build_causal_mask(t: int, dtype=np.float32) -> np.ndarray:
+def build_causal_mask(t: int) -> np.ndarray:
     """0 on and below the diagonal, -inf strictly above: no future peeking."""
     if t < 1:
         raise ValueError("mask length must be >= 1")
-    m = np.zeros((t, t), dtype=dtype)
+    m = np.zeros((t, t), dtype=np.float32)
     m[np.triu_indices(t, k=1)] = NEG_INF
     return m
 
 
-def build_prefix_mask(m: int, n: int, dtype=np.float32) -> np.ndarray:
+def build_prefix_mask(m: int, n: int) -> np.ndarray:
     """Bidirectional over the m source positions, causal over the n target
     positions, with every target position seeing the whole source and the
     source never seeing the target."""
@@ -182,7 +182,7 @@ def build_prefix_mask(m: int, n: int, dtype=np.float32) -> np.ndarray:
     if n < 0:
         raise ValueError("target length must be >= 0")
     t = m + n
-    mask = np.zeros((t, t), dtype=dtype)
+    mask = np.zeros((t, t), dtype=np.float32)
     mask[:m, m:] = NEG_INF
     tgt = np.triu_indices(n, k=1)
     mask[m + tgt[0], m + tgt[1]] = NEG_INF
@@ -484,13 +484,11 @@ def read_tensor_map(path):
     return tensors, meta_step
 
 
-def params_from_tensors(
-    tensors, config: ModelConfig, dtype=np.float32, source="tensor map"
-) -> ModelParams:
-    """Validate a {name: array} map against the config and build params."""
+def params_from_tensors(tensors, config: ModelConfig, source="tensor map") -> ModelParams:
+    """Validate a {name: array} map against the config and build float32 params."""
     expected = {name: shape for name, shape, _ in param_spec(config)}
     check_tensors(tensors, expected, source)
-    return _build_params(config, (tensors[name] for name in expected), dtype)
+    return _build_params(config, (tensors[name] for name in expected), np.float32)
 
 
 def check_tensors(tensors, expected, source):

@@ -88,11 +88,11 @@ def active_tape():
 class Tensor:
     """A dense n-dimensional value, optionally participating in a tape.
 
-    `data` is always a float32 or float64 numpy array. `grad` is allocated
-    eagerly (zeros) for requires_grad leaves and lazily for tape outputs;
-    gradients accumulate across backward calls until `zero_grad()`. Every
-    output recorded on a tape has requires_grad set, so that flag alone
-    says whether gradients flow into a tensor.
+    `data` is always a float32 or float64 numpy array. `grad` is None until
+    the first gradient reaches the tensor, leaf and tape output alike;
+    gradients then accumulate across backward calls until `zero_grad()`.
+    Every output recorded on a tape has requires_grad set, so that flag
+    alone says whether gradients flow into a tensor.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "tape")
@@ -105,7 +105,7 @@ class Tensor:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad = np.zeros_like(arr) if requires_grad else None
+        self.grad = None
         self.tape = None
 
     @property
@@ -130,20 +130,27 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def zero_grad(self):
-        """Reset the accumulated gradient to zeros."""
-        self.grad = np.zeros_like(self.data)
+        """Drop the accumulated gradient; the next one starts afresh."""
+        self.grad = None
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}{flag})"
 
 
-def _accumulate(t: Tensor, g: np.ndarray):
+def _accumulate(t: Tensor, g: np.ndarray, rows=None):
+    """Add g into t.grad, which the first gradient creates as zeros: into the
+    whole array, into a row slice, or at row ids that may repeat."""
     if not t.requires_grad:
         return
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if rows is None:
+        t.grad += g  # not t.grad[...] += g, which writes the array back onto itself
+    elif isinstance(rows, slice):
+        t.grad[rows] += g
+    else:
+        np.add.at(t.grad, rows, g)
 
 
 def _wrap(data: np.ndarray, inputs, backward_fn) -> Tensor:
@@ -152,7 +159,6 @@ def _wrap(data: np.ndarray, inputs, backward_fn) -> Tensor:
     tape = _active_tape
     if tape is not None and any(i.requires_grad for i in inputs):
         out.requires_grad = True
-        out.grad = None  # lazy for intermediates
         out.tape = tape
         tape._records.append((out, inputs, backward_fn))
     return out
@@ -162,8 +168,8 @@ def backward(loss: Tensor):
     """Populate gradients of everything `loss` depends on.
 
     `loss` must be a scalar produced on a tape. Gradients sum into `.grad`
-    buffers; leaves the loss does not reach keep their current (zeroed)
-    gradients. Consumes the tape: each record is dropped once replayed, so
+    buffers; what the loss does not reach keeps its gradient (None after
+    `zero_grad`). Consumes the tape: each record is dropped once replayed, so
     activations are freed during the pass, and a second backward raises.
     """
     if loss.tape is None:
@@ -260,7 +266,7 @@ def sum_all(a: Tensor) -> Tensor:
     """Sum of all entries, as a scalar."""
 
     def bw(g):
-        _accumulate(a, np.broadcast_to(g, a.shape).astype(a.dtype, copy=True))
+        _accumulate(a, np.broadcast_to(g, a.shape))
 
     return _wrap(a.data.sum(), (a,), bw)
 
@@ -382,11 +388,11 @@ def cross_entropy(logits: Tensor, targets, loss_mask=None) -> Tensor:
     loss = -logp[rows, targets[rows]].sum() / n
 
     def bw(g):
-        p = np.exp(logp)
-        d = np.zeros_like(logits.data)
-        d[rows] = p[rows]
+        d = np.exp(logp)
+        d[~mask] = 0.0
         d[rows, targets[rows]] -= 1.0
-        _accumulate(logits, d * (g / n))
+        d *= g / n
+        _accumulate(logits, d)
 
     return _wrap(np.asarray(loss, dtype=logits.dtype), (logits,), bw)
 
@@ -460,11 +466,7 @@ def embedding_rows(table: Tensor, ids) -> Tensor:
         raise ValueError("embedding_rows: id out of range")
 
     def bw(g):
-        if not table.requires_grad:
-            return
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, ids, g)
+        _accumulate(table, g, ids)
 
     return _wrap(table.data[ids], (table,), bw)
 
@@ -474,8 +476,6 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
         raise ShapeError(f"row slice [{start}:{stop}] out of range for {x.shape}")
 
     def bw(g):
-        full = np.zeros_like(x.data)
-        full[start:stop] = g
-        _accumulate(x, full)
+        _accumulate(x, g, slice(start, stop))
 
     return _wrap(x.data[start:stop].copy(), (x,), bw)

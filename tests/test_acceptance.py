@@ -85,7 +85,7 @@ def test_acceptance_gradient_integrity():
     tokens = [3, 1, 4, 1, 5, 9]
     targets = [1, 4, 1, 5, 9, 2]
     loss_mask = [False, False, True, True, True, True]
-    mask = build_prefix_mask(3, 3, dtype=np.float64)
+    mask = build_prefix_mask(3, 3)
 
     params = init_params(config, seed=13, dtype=np.float64)
 

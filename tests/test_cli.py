@@ -250,6 +250,12 @@ def test_finetune_missing_config_key_exit_2(tmp_path, corpus_file, capsys):
     assert "lr" in capsys.readouterr().err
 
 
+def _set_key(cfg, key, value):
+    lines = [f"{key}={value}" if line.startswith(f"{key}=") else line
+             for line in cfg.read_text().splitlines()]
+    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("key", ["lr", "momentum", "weight_decay"])
 def test_finetune_non_finite_optimizer_setting_exit_2(tmp_path, corpus_file, capsys,
@@ -257,15 +263,26 @@ def test_finetune_non_finite_optimizer_setting_exit_2(tmp_path, corpus_file, cap
     _, examples = _preprocess(tmp_path, corpus_file)
     _, vocab, merges = _train_tokenizer(tmp_path, examples)
     cfg = _write_config(tmp_path, examples, vocab, merges)
-    lines = [f"{key}={value}" if line.startswith(f"{key}=") else line
-             for line in cfg.read_text().splitlines()]
-    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _set_key(cfg, key, value)
     capsys.readouterr()
     assert main(["finetune", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert repr(key) in captured.err
     assert "step" not in captured.out
     assert not (tmp_path / "loss.csv").exists()
+
+
+@pytest.mark.parametrize("key,value", [("steps", "-3"), ("batch_size", "0"),
+                                       ("batch_size", "-1")])
+def test_finetune_out_of_range_count_exit_2(tmp_path, corpus_file, capsys, key, value):
+    _, examples = _preprocess(tmp_path, corpus_file)
+    _, vocab, merges = _train_tokenizer(tmp_path, examples)
+    cfg = _write_config(tmp_path, examples, vocab, merges)
+    _set_key(cfg, key, value)
+    capsys.readouterr()
+    assert main(["finetune", "--config", str(cfg)]) == 2
+    assert f"bad value for {key!r}: {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "ck.bin").exists()
 
 
 def test_finetune_config_not_utf8_names_path_and_line(tmp_path, corpus_file, capsys):

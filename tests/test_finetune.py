@@ -17,6 +17,7 @@ from prefixlm.finetune import (
     encode_source,
     filter_long,
     load_checkpoint,
+    load_model_weights,
     parse_training_config,
     prepare_example,
     run_finetune,
@@ -174,6 +175,7 @@ def test_sgd_zero_grad_zero_decay_decays_velocity():
     params = _OneParam(1.0)
     state = OptimizerState(lr=0.1, momentum=0.9, weight_decay=0.0,
                            velocity={"p": np.array([1.0])})
+    params.p.grad = np.array([0.0])
     sgd_update(params, state)
     np.testing.assert_allclose(state.velocity["p"], [0.9])
     np.testing.assert_allclose(params.p.data, [1.0 - 0.1 * 0.9])
@@ -181,7 +183,7 @@ def test_sgd_zero_grad_zero_decay_decays_velocity():
 
 def test_sgd_plain_step():
     params = _OneParam(1.0)
-    params.p.grad[:] = 2.0
+    params.p.grad = np.array([2.0])
     state = OptimizerState(lr=0.1, momentum=0.0, weight_decay=0.0)
     sgd_update(params, state)
     np.testing.assert_allclose(params.p.data, [0.8])
@@ -190,10 +192,10 @@ def test_sgd_plain_step():
 def test_sgd_momentum_recursion():
     params = _OneParam(0.0)
     state = OptimizerState(lr=1.0, momentum=0.9, weight_decay=0.0)
-    params.p.grad[:] = 1.0
+    params.p.grad = np.array([1.0])
     sgd_update(params, state)
     np.testing.assert_allclose(params.p.data, [-1.0])
-    params.p.grad[:] = 1.0
+    params.p.grad = np.array([1.0])
     sgd_update(params, state)
     np.testing.assert_allclose(params.p.data, [-2.9])
 
@@ -201,6 +203,7 @@ def test_sgd_momentum_recursion():
 def test_sgd_weight_decay_pulls_toward_zero():
     params = _OneParam(10.0)
     state = OptimizerState(lr=0.1, momentum=0.0, weight_decay=0.5)
+    params.p.grad = np.array([0.0])
     sgd_update(params, state)  # g' = 0 + 0.5*10 = 5; p = 10 - 0.5
     np.testing.assert_allclose(params.p.data, [9.5])
 
@@ -284,6 +287,18 @@ def test_training_step_leaves_no_tape_alive(tok):
     finally:
         gc.enable()
     assert alive == [False] * len(batch)
+
+
+def test_parameters_hold_gradients_only_after_a_step(tok, tmp_path):
+    # the first gradient creates each buffer; sgd_update reads one per parameter
+    model = tiny_model(tok, seed=6)
+    path = tmp_path / "w.bin"
+    write_tensor_map(path, [(name, p.data) for name, p in model.params.named()])
+    for params in (model.params, load_model_weights(path, model.config)):
+        assert [name for name, p in params.named() if p.grad is not None] == []
+    training_step(model, [prepare_example(e, 0, tok) for e in CORPUS], OptimizerState())
+    for name, p in model.params.named():
+        assert p.grad is not None and p.grad.shape == p.shape, name
 
 
 def _capture_logits(model):

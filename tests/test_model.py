@@ -221,7 +221,7 @@ def test_mhsa_two_heads_match_hand_assembly():
     x = rng.normal(size=(t, d))
     w_qkv = rng.normal(size=(d, 3 * d))
     w_out = rng.normal(size=(d, d))
-    mask = build_causal_mask(t, dtype=np.float64)
+    mask = build_causal_mask(t)
 
     # hand assembly with plain numpy, one head at a time
     qkv = x @ w_qkv
@@ -312,7 +312,7 @@ def test_block_golden_straight_line_recompute():
     )
     bp = params.blocks[0]
     x = rng.normal(size=(t, d))
-    mask = build_causal_mask(t, dtype=np.float64)
+    mask = build_causal_mask(t)
 
     # straight-line recompute with plain numpy
     ln1 = _numpy_layer_norm(x, bp.ln1_gamma.data, bp.ln1_beta.data)
@@ -453,7 +453,7 @@ def test_full_tiny_model_gradcheck_vs_finite_differences():
     config = TINY
     tokens = [3, 1, 4, 1, 5, 9]
     targets = [1, 4, 1, 5, 9, 2]
-    mask = build_prefix_mask(3, 3, dtype=np.float64)
+    mask = build_prefix_mask(3, 3)
     loss_mask = [False, False, True, True, True, True]
     params = init_params(config, seed=21, dtype=np.float64)
     names, leaves = zip(*params.named())

@@ -249,7 +249,8 @@ class TrainingConfig:
         return ModelConfig(vocab_size=vocab_size, **dims)
 
 
-_LOWER_BOUNDS = {"steps": 0, "batch_size": 1}  # smallest accepted value of an int key
+# smallest accepted value of an int key
+_LOWER_BOUNDS = {"steps": 0, "batch_size": 1, "n_hints": 0, "checkpoint_every": 0, "max_len": 1}
 
 
 def parse_training_config(path) -> TrainingConfig:
@@ -314,7 +315,9 @@ def run_finetune(cfg: TrainingConfig, log=None):
         [prepare_example(e, cfg.n_hints, tokenizer) for e in examples], cfg.max_len
     )
     if not encoded:
-        raise ValueError("every example was dropped by the length filter")
+        raise ConfigError(
+            f"every example was dropped by the length filter (max_len {cfg.max_len})"
+        )
     longest = max(map(len, encoded))
     if longest > cfg.max_positions:
         raise ConfigError(
@@ -329,6 +332,11 @@ def run_finetune(cfg: TrainingConfig, log=None):
     start_step = 0
     if Path(cfg.checkpoint_path).exists():
         params, start_step = load_checkpoint(cfg.checkpoint_path, config, state)
+        if start_step > cfg.steps:
+            raise ConfigError(
+                f"steps {cfg.steps} is below the step {start_step} of the checkpoint "
+                f"{cfg.checkpoint_path}; resume with steps >= {start_step}"
+            )
     else:
         params = init_params(config, cfg.seed)
     model = Model(config, params)

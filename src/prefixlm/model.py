@@ -6,9 +6,10 @@ norm applied before each sublayer, residual around both), a final layer
 norm, and a language-model head tied to the token embedding. Attention
 masks are plain float matrices with 0 (visible) and -inf (hidden) entries;
 the causal and prefix builders below cover training and generation.
-Attention is one fused multi-head op over the query|key|value projection
-(tensor.attention); Model.prefill and Model.step decode incrementally over a
-key/value cache with the same numpy core (tensor.split_heads, tensor.attend).
+One layer loop (Model._blocks over block_forward, whose attention is the
+fused tensor.attention op) serves the training forward and incremental
+decoding: Model.prefill and Model.step pass each layer's slice of a
+key/value cache, so new rows attend over the cached positions too.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .tensor import (
     Tensor,
     active_tape,
     add,
-    attend,
     attention,
     embedding_rows,
     gelu,
@@ -33,7 +33,6 @@ from .tensor import (
     matmul,
     relu,
     slice_rows,
-    split_heads,
     transpose,
 )
 
@@ -47,7 +46,6 @@ __all__ = [
     "LN_EPS",
     "build_causal_mask",
     "build_prefix_mask",
-    "multi_head_self_attention",
     "ffn",
     "block_forward",
     "KVCache",
@@ -194,13 +192,6 @@ def build_prefix_mask(m: int, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def multi_head_self_attention(
-    x: Tensor, mask: np.ndarray, block: BlockParams, n_heads: int
-) -> Tensor:
-    """Fused query|key|value projection, attention, output projection."""
-    return matmul(attention(matmul(x, block.attn_qkv), mask, n_heads), block.attn_out)
-
-
 def ffn(x: Tensor, block: BlockParams, activation: str = "relu") -> Tensor:
     act = _ACTIVATIONS[activation]
     hidden = act(add(matmul(x, block.ffn_w1), block.ffn_b1))
@@ -209,21 +200,19 @@ def ffn(x: Tensor, block: BlockParams, activation: str = "relu") -> Tensor:
 
 def block_forward(
     x: Tensor,
-    mask: np.ndarray,
+    mask: np.ndarray | None,
     block: BlockParams,
     n_heads: int,
     activation: str = "relu",
+    cache=None,
 ) -> Tensor:
-    """Pre-LN residual block: attention sublayer, then feed-forward sublayer."""
-    return _residual_block(
-        x, block, activation, lambda h: multi_head_self_attention(h, mask, block, n_heads)
-    )
+    """Pre-LN residual block: attention sublayer, then feed-forward sublayer.
 
-
-def _residual_block(x: Tensor, block: BlockParams, activation: str, attend) -> Tensor:
-    """The block around an attention sublayer `attend(normalized x)`."""
-    attended = attend(layer_norm(x, block.ln1_gamma, block.ln1_beta, LN_EPS))
-    h = add(attended, x)
+    `mask` and `cache` (one layer's keys, values and start) are as in
+    tensor.attention.
+    """
+    qkv = matmul(layer_norm(x, block.ln1_gamma, block.ln1_beta, LN_EPS), block.attn_qkv)
+    h = add(matmul(attention(qkv, mask, n_heads, cache), block.attn_out), x)
     fed = ffn(layer_norm(h, block.ln2_gamma, block.ln2_beta, LN_EPS), block, activation)
     return add(fed, h)
 
@@ -245,29 +234,6 @@ class KVCache:
     keys: np.ndarray  # n_layers x n_heads x max_positions x d_k
     values: np.ndarray  # same shape as keys
     length: int = 0
-
-
-def _cached_attention(
-    x: Tensor,
-    block: BlockParams,
-    n_heads: int,
-    cache: KVCache,
-    layer: int,
-    mask: np.ndarray | None = None,
-) -> Tensor:
-    """Multi-head attention for the rows x, which sit at positions
-    cache.length onward, over the cached keys and values plus their own.
-
-    Writes the rows' keys and values into the cache of `layer`; `mask`
-    ([rows x cache.length + rows], or None for all visible) hides entries.
-    Off the tape: the attention itself is tensor.attend on the cache slices.
-    """
-    start, stop = cache.length, cache.length + x.shape[0]
-    q, k, v = split_heads(matmul(x, block.attn_qkv).data, n_heads)
-    cache.keys[layer, :, start:stop] = k
-    cache.values[layer, :, start:stop] = v
-    heads, _ = attend(q, cache.keys[layer, :, :stop], cache.values[layer, :, :stop], mask)
-    return matmul(Tensor(heads), block.attn_out)
 
 
 class Model:
@@ -299,10 +265,18 @@ class Model:
 
     def forward(self, token_ids, mask: np.ndarray) -> Tensor:
         """Next-token logits [T x vocab_size] under the given attention mask."""
-        x = self.embed(token_ids)
-        for block in self.params.blocks:
-            x = block_forward(x, mask, block, self.config.n_heads, self.config.activation)
-        return self._head(x)
+        return self._head(self._blocks(token_ids, mask))
+
+    def _blocks(self, token_ids, mask, cache: KVCache | None = None) -> Tensor:
+        """The last block's output for the tokens. With a cache they sit at
+        positions cache.length onward and each layer writes their keys and
+        values into its slice of the cache (cache.length is left as it was)."""
+        start = 0 if cache is None else cache.length
+        x = self.embed(token_ids, start)
+        for layer, block in enumerate(self.params.blocks):
+            kv = None if cache is None else (cache.keys[layer], cache.values[layer], start)
+            x = block_forward(x, mask, block, self.config.n_heads, self.config.activation, kv)
+        return x
 
     def prefill(self, token_ids, m: int):
         """Run a prompt of m source tokens (then target tokens) once under
@@ -325,12 +299,7 @@ class Model:
     def _extend(self, cache: KVCache, token_ids, mask) -> np.ndarray:
         if active_tape() is not None:
             raise GraphError("incremental decoding runs outside any tape")
-        x = self.embed(token_ids, cache.length)
-        for layer, block in enumerate(self.params.blocks):
-            x = _residual_block(
-                x, block, self.config.activation,
-                lambda h: _cached_attention(h, block, self.config.n_heads, cache, layer, mask),
-            )
+        x = self._blocks(token_ids, mask, cache)
         cache.length += len(token_ids)
         return self._head(slice_rows(x, x.shape[0] - 1, x.shape[0])).data[0]
 

@@ -21,20 +21,14 @@ __all__ = [
     "matmul",
     "transpose",
     "add",
-    "sub",
-    "mul",
     "scale",
     "relu",
     "gelu",
-    "softmax_rows",
-    "split_heads",
-    "attend",
     "attention",
     "layer_norm",
     "cross_entropy",
     "embedding_rows",
     "slice_rows",
-    "sum_all",
     "backward",
 ]
 
@@ -231,28 +225,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _wrap(a.data + b.data, (a, b), bw)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub shapes differ: {a.shape} - {b.shape}")
-
-    def bw(g):
-        _accumulate(a, g)
-        _accumulate(b, -g)
-
-    return _wrap(a.data - b.data, (a, b), bw)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul shapes differ: {a.shape} * {b.shape}")
-
-    def bw(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
-
-    return _wrap(a.data * b.data, (a, b), bw)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
@@ -260,15 +232,6 @@ def scale(a: Tensor, c: float) -> Tensor:
         _accumulate(a, g * c)
 
     return _wrap(a.data * np.asarray(c, dtype=a.dtype), (a,), bw)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    """Sum of all entries, as a scalar."""
-
-    def bw(g):
-        _accumulate(a, np.broadcast_to(g, a.shape))
-
-    return _wrap(a.data.sum(), (a,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -313,19 +276,6 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax; see _softmax for masked entries and degenerate rows."""
-    if x.ndim != 2:
-        raise ShapeError(f"softmax_rows needs a 2-d operand, got {x.shape}")
-    s = _softmax(x.data)
-
-    def bw(g):
-        dot = (g * s).sum(axis=1, keepdims=True)
-        _accumulate(x, s * (g - dot))
-
-    return _wrap(s, (x,), bw)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -402,37 +352,42 @@ def cross_entropy(logits: Tensor, targets, loss_mask=None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def split_heads(qkv: np.ndarray, n_heads: int) -> np.ndarray:
-    """The [3, H, T, d_k] view of a fused [T x 3*d] query|key|value projection."""
+def _split_heads(qkv: np.ndarray, n_heads: int) -> np.ndarray:
+    """The [3, H, t, d_k] view of a fused [t x 3*d] query|key|value projection."""
     return qkv.reshape(qkv.shape[0], 3, n_heads, -1).transpose(1, 2, 0, 3)
 
 
-def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask):
-    """softmax(q k^T / sqrt(d_k) + mask) v per head, for q [H x t x d_k], k and
-    v [H x s x d_k] and a 0/-inf mask [t x s] (None: all visible).
+def attention(qkv: Tensor, mask: np.ndarray | None, n_heads: int, cache=None) -> Tensor:
+    """Multi-head self-attention of a fused [t x 3*d] query|key|value
+    projection: softmax(q k^T / sqrt(d_k) + mask) v per head, the [t x d]
+    result with the heads side by side.
 
-    Returns the heads side by side [t x H*d_k] and the weights [H x t x s].
+    Without a cache the rows attend over their own keys and values, s = t of
+    them. `cache` is one layer's (keys, values, start), with keys and values
+    [H x positions x d_k] arrays: the rows sit at positions start onward,
+    their keys and values are written there, and they attend over the
+    s = start + t positions up to their own. `mask` is 0/-inf [t x s], or
+    None when every position is visible. Cached calls are for decoding, off
+    the tape. The backward keeps only the softmax weights besides its operand.
     """
+    if qkv.ndim != 2 or qkv.shape[1] % (3 * n_heads):
+        raise ShapeError(f"attention needs [t x 3*d] with {n_heads} heads, got {qkv.shape}")
+    t = qkv.shape[0]
+    s = t if cache is None else cache[2] + t
+    if mask is not None and np.shape(mask) != (t, s):
+        raise ShapeError(f"mask must be ({t}, {s}), got {np.shape(mask)}")
+    q, k, v = _split_heads(qkv.data, n_heads)
+    if cache is not None:
+        keys, values, start = cache
+        keys[:, start:s], values[:, start:s] = k, v
+        k, v = keys[:, :s], values[:, :s]
+    c = 1.0 / math.sqrt(q.shape[2])
     scores = np.matmul(q, k.transpose(0, 2, 1))
-    scores *= np.asarray(1.0 / math.sqrt(q.shape[2]), dtype=scores.dtype)
+    scores *= np.asarray(c, dtype=scores.dtype)
     if mask is not None:
         scores += np.asarray(mask, dtype=scores.dtype)
-    weights = _softmax(scores)
-    return np.matmul(weights, v).transpose(1, 0, 2).reshape(q.shape[1], -1), weights
-
-
-def attention(qkv: Tensor, mask: np.ndarray, n_heads: int) -> Tensor:
-    """Multi-head self-attention of a fused [T x 3*d] projection under a
-    0/-inf mask [T x T]: the [T x d] attended values, heads side by side.
-    The backward keeps only the softmax weights besides its operand."""
-    if qkv.ndim != 2 or qkv.shape[1] % (3 * n_heads):
-        raise ShapeError(f"attention needs [T x 3*d] with {n_heads} heads, got {qkv.shape}")
-    t = qkv.shape[0]
-    if np.shape(mask) != (t, t):
-        raise ShapeError(f"mask must be ({t}, {t}), got {np.shape(mask)}")
-    q, k, v = split_heads(qkv.data, n_heads)
-    heads, w = attend(q, k, v, mask)
-    c = 1.0 / math.sqrt(q.shape[2])
+    w = _softmax(scores)
+    heads = np.matmul(w, v).transpose(1, 0, 2).reshape(t, -1)
 
     def bw(g):
         g = g.reshape(t, n_heads, -1).transpose(1, 0, 2)  # [H, T, d_k]
@@ -443,7 +398,7 @@ def attention(qkv: Tensor, mask: np.ndarray, n_heads: int) -> Tensor:
         ds *= w
         ds *= c
         grad = np.empty_like(qkv.data)
-        dq, dk, dv = split_heads(grad, n_heads)
+        dq, dk, dv = _split_heads(grad, n_heads)
         dq[...] = np.matmul(ds, k)
         dk[...] = np.matmul(q.transpose(0, 2, 1), ds).transpose(0, 2, 1)
         dv[...] = np.matmul(w.transpose(0, 2, 1), g)

@@ -4,7 +4,10 @@ Nothing in here touches the library's dynamic programming or its tokenizer,
 and only reference_attention and reference_masked_loss touch its backward
 pass (through tape ops that are gradchecked on their own); these exist so
 the tests can check the fast paths against slow, obviously-correct
-computations.
+computations. The tape ops mul, sum_all and softmax_rows live here, not in
+the library, which never calls them: they are gradcheck instruments and
+reference_attention's softmax, recorded on the library's tape through its
+_wrap and _accumulate.
 """
 
 import unicodedata
@@ -15,16 +18,50 @@ import numpy as np
 from prefixlm.model import build_prefix_mask
 from prefixlm.tensor import (
     ComputationTape,
+    ShapeError,
     Tensor,
+    _accumulate,
+    _wrap,
     add,
     backward,
     cross_entropy,
     matmul,
     scale,
     slice_rows,
-    softmax_rows,
     transpose,
 )
+
+
+def mul(a, b):
+    """Elementwise product of two tensors of one shape."""
+    if a.shape != b.shape:
+        raise ShapeError(f"mul shapes differ: {a.shape} * {b.shape}")
+
+    def bw(g):
+        _accumulate(a, g * b.data)
+        _accumulate(b, g * a.data)
+
+    return _wrap(a.data * b.data, (a, b), bw)
+
+
+def sum_all(a):
+    """Sum of all entries, as a scalar."""
+
+    def bw(g):
+        _accumulate(a, np.broadcast_to(g, a.shape))
+
+    return _wrap(a.data.sum(), (a,), bw)
+
+
+def softmax_rows(x):
+    """Row-wise softmax of a 2-d tensor, stabilized by the row max."""
+    e = np.exp(x.data - x.data.max(axis=1, keepdims=True))
+    s = e / e.sum(axis=1, keepdims=True)
+
+    def bw(g):
+        _accumulate(x, s * (g - (g * s).sum(axis=1, keepdims=True)))
+
+    return _wrap(s, (x,), bw)
 
 
 def finite_difference_grads(f, arrays, h=1e-5):

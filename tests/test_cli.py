@@ -273,7 +273,8 @@ def test_finetune_non_finite_optimizer_setting_exit_2(tmp_path, corpus_file, cap
 
 
 @pytest.mark.parametrize("key,value", [("steps", "-3"), ("batch_size", "0"),
-                                       ("batch_size", "-1")])
+                                       ("batch_size", "-1"), ("n_hints", "-1"),
+                                       ("checkpoint_every", "-5"), ("max_len", "0")])
 def test_finetune_out_of_range_count_exit_2(tmp_path, corpus_file, capsys, key, value):
     _, examples = _preprocess(tmp_path, corpus_file)
     _, vocab, merges = _train_tokenizer(tmp_path, examples)
@@ -282,7 +283,7 @@ def test_finetune_out_of_range_count_exit_2(tmp_path, corpus_file, capsys, key, 
     capsys.readouterr()
     assert main(["finetune", "--config", str(cfg)]) == 2
     assert f"bad value for {key!r}: {value!r}" in capsys.readouterr().err
-    assert not (tmp_path / "ck.bin").exists()
+    assert not (tmp_path / "ck.bin").exists() and not (tmp_path / "loss.csv").exists()
 
 
 def test_finetune_config_not_utf8_names_path_and_line(tmp_path, corpus_file, capsys):
@@ -347,12 +348,37 @@ def test_finetune_resumes_from_checkpoint(tmp_path, corpus_file, capsys):
     cfg = _write_config(tmp_path, examples, vocab, merges, steps=2)
     assert main(["finetune", "--config", str(cfg)]) == 0
     first = (tmp_path / "ck.bin").read_bytes()
-    # steps already reached: resume loads the checkpoint and saves it back
+    # a larger steps resumes from the checkpoint's step 2 and trains steps 3 and 4
     cfg4 = _write_config(tmp_path, examples, vocab, merges, steps=4)
     assert main(["finetune", "--config", str(cfg4)]) == 0
     out = capsys.readouterr().out
     assert "step 3/4" in out and "step 1/4" not in out
     assert (tmp_path / "ck.bin").read_bytes() != first
+
+
+def test_finetune_refuses_to_resume_past_steps(tmp_path, corpus_file, capsys):
+    _, examples = _preprocess(tmp_path, corpus_file)
+    _, vocab, merges = _train_tokenizer(tmp_path, examples)
+    cfg = _write_config(tmp_path, examples, vocab, merges, steps=4)
+    assert main(["finetune", "--config", str(cfg)]) == 0
+    before = [(tmp_path / name).read_bytes() for name in ("ck.bin", "loss.csv")]
+    cfg = _write_config(tmp_path, examples, vocab, merges, steps=2)
+    capsys.readouterr()
+    assert main(["finetune", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "steps 2" in captured.err and "step 4" in captured.err
+    assert "saved checkpoint" not in captured.out
+    assert [(tmp_path / name).read_bytes() for name in ("ck.bin", "loss.csv")] == before
+
+
+def test_finetune_length_filter_error_names_max_len(tmp_path, corpus_file, capsys):
+    _, examples = _preprocess(tmp_path, corpus_file)
+    _, vocab, merges = _train_tokenizer(tmp_path, examples)
+    cfg = _write_config(tmp_path, examples, vocab, merges)
+    _set_key(cfg, "max_len", "2")
+    assert main(["finetune", "--config", str(cfg)]) == 2
+    assert "max_len 2" in capsys.readouterr().err
+    assert not (tmp_path / "ck.bin").exists() and not (tmp_path / "loss.csv").exists()
 
 
 def test_finetune_refuses_examples_longer_than_max_positions(tmp_path, corpus_file, capsys):

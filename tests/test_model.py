@@ -19,7 +19,6 @@ from prefixlm.model import (
     build_prefix_mask,
     ffn,
     init_params,
-    multi_head_self_attention,
     param_count,
     param_spec,
     read_tensor_map,
@@ -33,6 +32,7 @@ from prefixlm.tensor import (
     attention,
     backward,
     cross_entropy,
+    matmul,
 )
 
 NEG_INF = float("-inf")
@@ -192,10 +192,15 @@ def _identity_block(d, d_ff=4):
     )
 
 
+def _self_attention(x, mask, block, n_heads):
+    """A block's attention sublayer: fused projection, attention, output projection."""
+    return matmul(attention(matmul(x, block.attn_qkv), mask, n_heads), block.attn_out)
+
+
 def test_mhsa_identity_projections_single_position():
     block = _identity_block(3)
     x = Tensor([[0.3, -0.7, 1.1]])
-    out = multi_head_self_attention(x, np.zeros((1, 1)), block, n_heads=1)
+    out = _self_attention(x, np.zeros((1, 1)), block, n_heads=1)
     np.testing.assert_allclose(out.data, x.data, atol=1e-7)
 
 
@@ -204,8 +209,8 @@ def test_mhsa_deterministic():
     params = init_params(TINY, 3)
     x = Tensor(rng.normal(size=(4, 8)).astype(np.float32))
     mask = build_causal_mask(4)
-    a = multi_head_self_attention(x, mask, params.blocks[0], 2).data
-    b = multi_head_self_attention(x, mask, params.blocks[0], 2).data
+    a = _self_attention(x, mask, params.blocks[0], 2).data
+    b = _self_attention(x, mask, params.blocks[0], 2).data
     np.testing.assert_array_equal(a, b)
 
 
@@ -236,7 +241,7 @@ def test_mhsa_two_heads_match_hand_assembly():
     block = _identity_block(d)
     block.attn_qkv = Tensor(w_qkv, dtype=np.float64)
     block.attn_out = Tensor(w_out, dtype=np.float64)
-    out = multi_head_self_attention(Tensor(x, dtype=np.float64), mask, block, heads)
+    out = _self_attention(Tensor(x, dtype=np.float64), mask, block, heads)
     np.testing.assert_allclose(out.data, expected, atol=1e-10)
 
 
@@ -381,19 +386,12 @@ def test_causal_invariance_to_future_perturbation():
         np.testing.assert_array_equal(a[: t + 1], b[: t + 1])
 
 
-def _hidden_states(model, tokens, mask):
-    x = model.embed(tokens)
-    for block in model.params.blocks:
-        x = block_forward(x, mask, block, model.config.n_heads,
-                          model.config.activation)
-    return x.data
-
-
 def test_prefix_source_hidden_states_ignore_target():
     m = tiny_model(seed=11)
     mask = build_prefix_mask(3, 3)
-    a = _hidden_states(m, [1, 2, 3, 4, 5, 6], mask)
-    b = _hidden_states(m, [1, 2, 3, 9, 8, 7], mask)
+    # the last block's output, before the final layer norm and the head
+    a = m._blocks([1, 2, 3, 4, 5, 6], mask).data
+    b = m._blocks([1, 2, 3, 9, 8, 7], mask).data
     np.testing.assert_array_equal(a[:3], b[:3])
 
 

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import finite_difference_grads, grad_error, reference_attention
+from oracles import (
+    finite_difference_grads,
+    grad_error,
+    mul,
+    reference_attention,
+    softmax_rows,
+    sum_all,
+)
 
 from prefixlm.model import build_causal_mask, build_prefix_mask
 from prefixlm.tensor import (
@@ -20,13 +27,9 @@ from prefixlm.tensor import (
     gelu,
     layer_norm,
     matmul,
-    mul,
     relu,
     scale,
     slice_rows,
-    softmax_rows,
-    sub,
-    sum_all,
     transpose,
 )
 
@@ -83,34 +86,48 @@ def test_matmul_associativity_small_integers(seed):
 
 
 # ---------------------------------------------------------------------------
-# softmax_rows
+# the softmax inside attention
 # ---------------------------------------------------------------------------
 
 
+def attention_softmax(x):
+    """Row-wise softmax of x [r x c] as attention computes it: zero queries
+    and keys make the scores the mask itself, and identity values return the
+    weights. x is padded to a square with hidden columns and visible rows."""
+    x = np.asarray(x, dtype=np.float64)
+    r, c = x.shape
+    n = max(r, c)
+    mask = np.zeros((n, n))
+    mask[:r] = NEG_INF
+    mask[:r, :c] = x
+    qkv = np.concatenate([np.zeros((n, 2 * n)), np.eye(n)], axis=1)
+    return attention(t64(qkv), mask, 1).data[:r, :c]
+
+
 def test_softmax_uniform_row():
-    out = softmax_rows(t64([[0.0, 0.0, 0.0, 0.0]]))
-    np.testing.assert_allclose(out.data, [[0.25] * 4])
+    out = attention_softmax([[0.0, 0.0, 0.0, 0.0]])
+    np.testing.assert_allclose(out, [[0.25] * 4])
 
 
 def test_softmax_masked_entry_exactly_zero():
-    out = softmax_rows(t64([[5.0, NEG_INF]]))
-    assert out.data[0, 0] == 1.0
-    assert out.data[0, 1] == 0.0
+    out = attention_softmax([[5.0, NEG_INF]])
+    assert out[0, 0] == 1.0
+    assert out[0, 1] == 0.0
 
 
 def test_softmax_hand_logistic():
-    out = softmax_rows(t64([[1.0, 2.0]]))
-    np.testing.assert_allclose(out.data, [[0.26894, 0.73106]], atol=1e-5)
+    out = attention_softmax([[1.0, 2.0]])
+    np.testing.assert_allclose(out, [[0.26894, 0.73106]], atol=1e-5)
 
 
 def test_softmax_degenerate_row():
     with pytest.raises(ValueError, match="degenerate"):
-        softmax_rows(t64([[NEG_INF, NEG_INF]]))
+        attention_softmax([[NEG_INF, NEG_INF]])
 
 
 def test_softmax_large_values_stable():
-    out = softmax_rows(t64([[1000.0, 1000.0]]))
-    np.testing.assert_allclose(out.data, [[0.5, 0.5]])
+    out = attention_softmax([[1000.0, 1000.0]])
+    np.testing.assert_allclose(out, [[0.5, 0.5]])
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 8))
@@ -118,9 +135,9 @@ def test_softmax_large_values_stable():
 def test_softmax_rows_sum_to_one(seed, r, c):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(r, c)) * 10
-    out = softmax_rows(t64(x))
-    np.testing.assert_allclose(out.data.sum(axis=1), np.ones(r), atol=1e-6)
-    assert np.all(out.data >= 0)
+    out = attention_softmax(x)
+    np.testing.assert_allclose(out.sum(axis=1), np.ones(r), atol=1e-6)
+    assert np.all(out >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +328,6 @@ def _weighted(out):
 OPS = {
     "matmul": lambda ts: _weighted(matmul(ts[0], ts[1])),
     "add": lambda ts: _weighted(add(ts[0], ts[1])),
-    "sub": lambda ts: _weighted(sub(ts[0], ts[1])),
     "mul": lambda ts: _weighted(mul(ts[0], ts[1])),
     "transpose": lambda ts: _weighted(transpose(ts[0])),
     "relu": lambda ts: _weighted(relu(ts[0])),
@@ -330,7 +346,7 @@ def test_gradcheck_ops(name, seed):
     rng = np.random.default_rng(seed * 1000 + 17)
     if name == "matmul":
         arrays = [rng.normal(size=(4, 5)), rng.normal(size=(5, 3))]
-    elif name in ("add", "sub", "mul"):
+    elif name in ("add", "mul"):
         arrays = [rng.normal(size=(4, 5)), rng.normal(size=(4, 5))]
     elif name == "attention":
         arrays = [rng.normal(size=(4, 12))]
@@ -414,12 +430,36 @@ def test_attention_matches_per_head_reference(n_heads, mask_name):
     np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("mask_name", sorted(ATTENTION_MASKS))
+@pytest.mark.parametrize("start", [1, 2, 4])
+def test_cached_attention_matches_one_full_call(start, mask_name):
+    # 3 heads of width 4; the cache has room for 8 positions
+    mask = ATTENTION_MASKS[mask_name]
+    qkv = np.random.default_rng(start).normal(size=(5, 36))
+    keys, values = np.full((3, 8, 4), np.nan), np.full((3, 8, 4), np.nan)
+    attention(t64(qkv[:start]), mask[:start, :start], 3, (keys, values, 0))
+    rows_mask = None if mask_name == "visible" else mask[start:]
+    out = attention(t64(qkv[start:]), rows_mask, 3, (keys, values, start)).data
+    full = attention(t64(qkv), mask, 3).data
+    np.testing.assert_allclose(out, full[start:], rtol=0, atol=1e-12)
+    # the cache holds the projection's keys and values, heads first
+    k, v = (qkv[:, j * 12 : (j + 1) * 12].reshape(5, 3, 4).transpose(1, 0, 2) for j in (1, 2))
+    np.testing.assert_array_equal(keys[:, :5], k)
+    np.testing.assert_array_equal(values[:, :5], v)
+    assert np.isnan(keys[:, 5:]).all() and np.isnan(values[:, 5:]).all()
+
+
 def test_attention_rejects_mismatched_shapes():
     qkv = t64(np.zeros((3, 12)))
     with pytest.raises(ShapeError):
         attention(qkv, np.zeros((3, 3)), 3)  # 12 columns are not 3 blocks of 3 heads
     with pytest.raises(ShapeError):
         attention(qkv, np.zeros((2, 2)), 2)
+    # after 2 cached positions the mask must be 3 x 5; the cache stays unwritten
+    keys, values = np.full((2, 8, 3), np.nan), np.full((2, 8, 3), np.nan)
+    with pytest.raises(ShapeError, match=r"\(3, 5\)"):
+        attention(qkv, np.zeros((3, 3)), 2, (keys, values, 2))
+    assert np.isnan(keys).all() and np.isnan(values).all()
 
 
 @given(
@@ -450,5 +490,5 @@ def test_float64_preserved():
 def test_forward_values_finite_on_finite_inputs():
     rng = np.random.default_rng(0)
     x = t64(rng.normal(size=(4, 4)) * 50)
-    for out in (softmax_rows(x), relu(x), gelu(x)):
-        assert np.all(np.isfinite(out.data))
+    for out in (attention_softmax(x.data), relu(x).data, gelu(x).data):
+        assert np.all(np.isfinite(out))

@@ -20,7 +20,7 @@ corpus = [
 
 tok = train_merges(corpus, 80)
 print(f"trained {len(tok.merges)} merges, vocabulary {len(tok.vocab)} tokens")
-print("first merges:", tok.merges.pairs[:8])
+print("first merges:", tok.merges[:8])
 
 text = "roxatidine improved the score at 8 weeks ."
 ids = tok.encode(text)

@@ -24,7 +24,6 @@ from .data import _text_lines
 
 __all__ = [
     "Vocabulary",
-    "MergeTable",
     "Tokenizer",
     "VocabularyError",
     "TokenizerFileError",
@@ -91,19 +90,6 @@ class Vocabulary:
         return token in self._token_to_id
 
 
-class MergeTable:
-    """Ordered merge pairs; list position is the merge rank."""
-
-    def __init__(self, pairs):
-        self.pairs = [(bytes(a), bytes(b)) for a, b in pairs]
-        if len(set(self.pairs)) != len(self.pairs):
-            raise TokenizerFileError("duplicate merge pair")
-        self.ranks = {pair: i for i, pair in enumerate(self.pairs)}
-
-    def __len__(self):
-        return len(self.pairs)
-
-
 def _category_code(ch: str) -> str:
     """One-letter category: S the space character itself, s other
     whitespace, l letter, d digit, o anything else."""
@@ -123,8 +109,11 @@ _LATIN1_CODES = {o: _category_code(chr(o)) for o in range(256)}
 _UNIT = re.compile(r"S?l+|S?d+|S?o+|[sS]+?(?=S[ldo])|[sS]+")
 
 
-def _segment(text: str):
-    """Split into category runs, attaching a single leading space to each run."""
+def _segment(text) -> list[str]:
+    """Split a str, or bytes read as UTF-8 (bad bytes as surrogate escapes),
+    into category runs, attaching a single leading space to each run."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8", errors="surrogateescape")
     codes = text.translate(_LATIN1_CODES)
     if not codes.isascii():  # classify each distinct code point above 255 once
         codes = codes.translate(
@@ -136,6 +125,11 @@ def _segment(text: str):
         units.append(text[start : start + len(run)])
         start += len(run)
     return units
+
+
+def _unit_bytes(unit: str) -> list[bytes]:
+    """The unit's UTF-8 bytes, surrogate escapes restored, one part each."""
+    return [bytes([b]) for b in unit.encode("utf-8", errors="surrogateescape")]
 
 
 def _merge_word(word, pair):
@@ -154,47 +148,48 @@ def _merge_word(word, pair):
 
 
 class Tokenizer:
-    """Immutable encode/decode state; safe for concurrent use."""
+    """A vocabulary plus merge pairs, applied in list order (index = rank).
 
-    def __init__(self, vocab: Vocabulary, merges: MergeTable):
-        for left, right in merges.pairs:
-            for part in (left, right, left + right):
-                if part not in vocab:
-                    raise TokenizerFileError(
-                        f"merge references token not in vocabulary: {part!r}"
-                    )
+    Both are fixed after construction. `encode` memoizes the ids of each
+    distinct unit in a cache keyed by the unit string; concurrent calls may
+    fill it in any order without changing what they return.
+    """
+
+    def __init__(self, vocab: Vocabulary, merges):
         self.vocab = vocab
-        self.merges = merges
-        self._unit_cache: dict[bytes, list[int]] = {}
+        self.merges = [(bytes(a), bytes(b)) for a, b in merges]
+        self._ranks: dict[tuple[bytes, bytes], int] = {}
+        for pair in self.merges:
+            for part in (*pair, b"".join(pair)):
+                if part not in vocab:
+                    raise TokenizerFileError(f"merge part {part!r} is not in the vocabulary")
+            if pair in self._ranks:
+                raise TokenizerFileError(f"duplicate merge pair {pair!r}")
+            self._ranks[pair] = len(self._ranks)
+        self._unit_cache: dict[str, list[int]] = {}
 
     # -- encoding -----------------------------------------------------------
 
     def encode(self, text) -> list[int]:
         """Token ids for a str (UTF-8) or raw bytes value."""
-        decoded = (
-            text.decode("utf-8", errors="surrogateescape")
-            if isinstance(text, bytes)
-            else text
-        )
         ids: list[int] = []
-        for unit in _segment(decoded):
-            raw = unit.encode("utf-8", errors="surrogateescape")
-            cached = self._unit_cache.get(raw)
+        for unit in _segment(text):
+            cached = self._unit_cache.get(unit)
             if cached is None:
-                cached = [self.vocab.id_of(tok) for tok in self._bpe(raw)]
-                self._unit_cache[raw] = cached
+                cached = self._unit_cache[unit] = self._bpe(unit)
             ids.extend(cached)
         return ids
 
-    def _bpe(self, unit: bytes):
-        word = [bytes([b]) for b in unit]
-        ranks = self.merges.ranks
+    def _bpe(self, unit: str) -> list[int]:
+        """Ids of one unit: apply the lowest-ranked adjacent pair until none is left."""
+        word = _unit_bytes(unit)
+        ranks = self._ranks
         while len(word) > 1:
             best = min(zip(word, word[1:]), key=lambda p: ranks.get(p, len(ranks)))
             if best not in ranks:
                 break
             word = _merge_word(word, best)
-        return word
+        return [self.vocab.id_of(token) for token in word]
 
     # -- decoding -----------------------------------------------------------
 
@@ -223,19 +218,11 @@ def train_merges(corpus, num_merges: int) -> Tokenizer:
     if not texts:
         raise ValueError("training corpus is empty")
 
-    text_units: Counter[str] = Counter()
+    unit_counts: Counter[str] = Counter()
     for text in texts:
-        decoded = (
-            text.decode("utf-8", errors="surrogateescape")
-            if isinstance(text, bytes)
-            else text
-        )
-        text_units.update(_segment(decoded))
-    unit_counts: Counter[bytes] = Counter()
-    for unit, n in text_units.items():
-        unit_counts[unit.encode("utf-8", errors="surrogateescape")] += n
+        unit_counts.update(_segment(text))
 
-    words = [[bytes([b]) for b in unit] for unit in unit_counts]
+    words = [_unit_bytes(unit) for unit in unit_counts]
     weights = list(unit_counts.values())
     pair_counts: Counter = Counter()
     where: dict[tuple, set[int]] = {}  # pair -> indices of the words holding it
@@ -285,7 +272,7 @@ def train_merges(corpus, num_merges: int) -> Tokenizer:
         if product not in seen:
             tokens.append(product)
             seen.add(product)
-    return Tokenizer(Vocabulary(tokens), MergeTable(merges))
+    return Tokenizer(Vocabulary(tokens), merges)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +338,7 @@ def save_vocabulary(tokenizer: Tokenizer, vocab_path, merges_path):
         for i in range(tokenizer.vocab.base_size):
             f.write(f"{i}\t{_escape(tokenizer.vocab.token_of(i))}\n")
     with open(merges_path, "w", encoding="utf-8") as f:
-        for left, right in tokenizer.merges.pairs:
+        for left, right in tokenizer.merges:
             f.write(f"{_escape(left)}\t{_escape(right)}\n")
 
 
@@ -392,6 +379,6 @@ def load_vocabulary(vocab_path, merges_path) -> Tokenizer:
     except VocabularyError as e:
         raise TokenizerFileError(f"{vocab_path}: {e}") from e
     try:
-        return Tokenizer(vocab, MergeTable(pairs))
+        return Tokenizer(vocab, pairs)
     except TokenizerFileError as e:
         raise TokenizerFileError(f"{merges_path}: {e}") from e

@@ -249,8 +249,9 @@ class TrainingConfig:
         return ModelConfig(vocab_size=vocab_size, **dims)
 
 
-# smallest accepted value of an int key
-_LOWER_BOUNDS = {"steps": 0, "batch_size": 1, "n_hints": 0, "checkpoint_every": 0, "max_len": 1}
+# smallest accepted value of a numeric key; ModelConfig judges the model keys
+_LOWER_BOUNDS = {"steps": 0, "batch_size": 1, "n_hints": 0, "checkpoint_every": 0, "max_len": 1,
+                 "lr": 0, "momentum": 0, "weight_decay": 0}
 
 
 def parse_training_config(path) -> TrainingConfig:
@@ -260,10 +261,12 @@ def parse_training_config(path) -> TrainingConfig:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        key, sep, value = stripped.partition("=")
+        key, sep, value = (part.strip() for part in stripped.partition("="))
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        raw[key.strip()] = value.strip()
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: repeated config key {key!r}")
+        raw[key] = value
 
     kwargs = {}
     for f in fields(TrainingConfig):
@@ -283,7 +286,12 @@ def parse_training_config(path) -> TrainingConfig:
             raise ConfigError(f"{path}: bad value for {f.name!r}: {value!r}") from e
     if raw:
         raise ConfigError(f"{path}: unknown config key {sorted(raw)[0]!r}")
-    return TrainingConfig(**kwargs)
+    cfg = TrainingConfig(**kwargs)
+    try:
+        cfg.model_config(vocab_size=1)
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
+    return cfg
 
 
 def _cut_loss_log(path: Path, step: int):
@@ -354,7 +362,9 @@ def run_finetune(cfg: TrainingConfig, log=None):
                 f.write(f"{step + 1},{loss:.6f}\n")
         if log is not None:
             log(step + 1, loss)
-        if cfg.checkpoint_every > 0 and (step + 1) % cfg.checkpoint_every == 0:
+        last = step + 1 == cfg.steps
+        if last or cfg.checkpoint_every > 0 and (step + 1) % cfg.checkpoint_every == 0:
             save_checkpoint(cfg.checkpoint_path, model.params, state, step + 1)
-    save_checkpoint(cfg.checkpoint_path, model.params, state, cfg.steps)
+    if start_step == cfg.steps:  # nothing left to train: save the weights as they are
+        save_checkpoint(cfg.checkpoint_path, model.params, state, cfg.steps)
     return model, state, cfg.steps

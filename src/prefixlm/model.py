@@ -82,16 +82,13 @@ class ModelConfig:
     activation: str = "relu"
 
     def __post_init__(self):
+        for name in ("n_layers", "d_model", "n_heads", "d_ff", "vocab_size", "max_positions"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
-        if self.max_positions < 1:
-            raise ValueError("max_positions must be >= 1")
-        if self.vocab_size < 1:
-            raise ValueError("vocab_size must be >= 1")
-        if min(self.n_layers, self.d_model, self.n_heads, self.d_ff) < 1:
-            raise ValueError("all model dimensions must be >= 1")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
@@ -419,6 +416,8 @@ def read_tensor_map(path):
             if len(fields) != 3:
                 raise WeightFileError(f"{path}: malformed tensor line {fields!r}")
             name, rank_s, dims_s = fields
+            if name in tensors:
+                raise WeightFileError(f"{path}: repeated tensor {name!r}")
             try:
                 rank = int(rank_s)
                 dims = tuple(int(x) for x in dims_s.split()) if dims_s else ()

@@ -5,7 +5,6 @@ from oracles import reference_merges, reference_segment
 from prefixlm.bpe import (
     END_OF_TEXT,
     SEPARATOR,
-    MergeTable,
     Tokenizer,
     TokenizerFileError,
     Vocabulary,
@@ -59,7 +58,7 @@ def test_letters_and_digits_never_share_a_token(tok):
 
 def test_two_merges_make_low_a_single_token():
     trained = train_merges(["low low lower"], 2)
-    assert trained.merges.pairs == [(b"l", b"o"), (b"lo", b"w")]
+    assert trained.merges == [(b"l", b"o"), (b"lo", b"w")]
     assert len(trained.encode("low")) == 1
 
 
@@ -141,13 +140,13 @@ def test_zero_merges_vocabulary():
 
 def test_aaab_first_merge():
     t = train_merges(["aaab"], 1)
-    assert t.merges.pairs == [(b"a", b"a")]
+    assert t.merges == [(b"a", b"a")]
 
 
 def test_tie_breaks_lexicographically():
     # (a,b) and (c,d) both occur once; (a,b) is lexicographically first
     t = train_merges(["ab", "cd"], 1)
-    assert t.merges.pairs == [(b"a", b"b")]
+    assert t.merges == [(b"a", b"b")]
 
 
 def test_trained_tokenizer_roundtrips_training_corpus():
@@ -215,19 +214,38 @@ merge_counts = st.sampled_from([0, 1, 3, 8, 40])
 @given(small_corpus, merge_counts)
 @settings(max_examples=300, deadline=None)
 def test_train_merges_matches_reference(corpus, k):
-    assert train_merges(corpus, k).merges.pairs == reference_merges(corpus, k)
+    assert train_merges(corpus, k).merges == reference_merges(corpus, k)
 
 
 @given(st.lists(st.binary(max_size=16), min_size=1, max_size=6), merge_counts)
 @settings(max_examples=200, deadline=None)
 def test_train_merges_matches_reference_on_bytes(corpus, k):
-    assert train_merges(corpus, k).merges.pairs == reference_merges(corpus, k)
+    assert train_merges(corpus, k).merges == reference_merges(corpus, k)
+
+
+# raw bytes: valid and split UTF-8, lone continuation and invalid bytes, runs
+ESCAPED_BYTES = st.one_of(st.binary(max_size=24), TRICKY_BYTES, st.sampled_from(
+    [b"aaaa", b"aaaaa", b"aa aaaa", b"\xff\xff\xff", b"11111", b"\xc3\xa9\xc3\xa9\xc3"]))
+
+
+@given(st.lists(ESCAPED_BYTES, min_size=1, max_size=6), merge_counts)
+@settings(max_examples=200, deadline=None)
+def test_train_merges_reads_bytes_as_their_escaped_text(corpus, k):
+    decoded = [b.decode("utf-8", errors="surrogateescape") for b in corpus]
+    assert train_merges(corpus, k).merges == train_merges(decoded, k).merges
+
+
+@given(st.lists(ESCAPED_BYTES, min_size=1, max_size=6), merge_counts, ESCAPED_BYTES)
+@settings(max_examples=200, deadline=None)
+def test_encode_reads_bytes_as_their_escaped_text(corpus, k, data):
+    t = train_merges(corpus, k)
+    assert t.encode(data) == t.encode(data.decode("utf-8", errors="surrogateescape"))
 
 
 def test_overlapping_pairs_each_count():
     # "bbbb" holds three (b, b); counted without overlap it would hold two
     # and lose the tie against (a, b)
-    assert train_merges(["bbbb", "ab", "ab"], 1).merges.pairs == [(b"b", b"b")]
+    assert train_merges(["bbbb", "ab", "ab"], 1).merges == [(b"b", b"b")]
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +266,9 @@ def test_duplicate_merge_pair_rejected(tmp_path):
     vp, mp = tmp_path / "vocab.tsv", tmp_path / "merges.tsv"
     save_vocabulary(train_merges(["low low lower"], 2), vp, mp)
     mp.write_text("l\to\nl\to\n", encoding="utf-8")
-    with pytest.raises(TokenizerFileError):
+    with pytest.raises(TokenizerFileError, match="duplicate merge pair") as err:
         load_vocabulary(vp, mp)
+    assert str(mp) in str(err.value)
 
 
 def test_merge_referencing_unknown_token(tmp_path):
@@ -307,6 +326,11 @@ def test_vocabulary_rejects_duplicates_directly():
 
 
 def test_merge_table_rank_order():
-    mt = MergeTable([(b"a", b"b"), (b"ab", b"c")])
-    assert mt.ranks[(b"a", b"b")] == 0
-    assert mt.ranks[(b"ab", b"c")] == 1
+    # where two pairs overlap the earlier-listed one wins: with (a, b) first
+    # "abc" becomes ab|c, with (b, c) first a|bc
+    tokens = [bytes([b]) for b in range(256)] + [b"ab", b"bc"]
+    ab_first = Tokenizer(Vocabulary(tokens), [(b"a", b"b"), (b"b", b"c")])
+    bc_first = Tokenizer(Vocabulary(tokens), [(b"b", b"c"), (b"a", b"b")])
+    assert ab_first.merges == [(b"a", b"b"), (b"b", b"c")]
+    assert [ab_first.vocab.token_of(i) for i in ab_first.encode("abc")] == [b"ab", b"c"]
+    assert [bc_first.vocab.token_of(i) for i in bc_first.encode("abc")] == [b"a", b"bc"]

@@ -251,8 +251,10 @@ def test_finetune_missing_config_key_exit_2(tmp_path, corpus_file, capsys):
 
 
 def _set_key(cfg, key, value):
-    lines = [f"{key}={value}" if line.startswith(f"{key}=") else line
-             for line in cfg.read_text().splitlines()]
+    """Set `key` on its own line of the config, or append it when absent."""
+    lines = cfg.read_text().splitlines()
+    at = next((i for i, line in enumerate(lines) if line.startswith(f"{key}=")), len(lines))
+    lines[at:at + 1] = [f"{key}={value}"]
     cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -274,7 +276,9 @@ def test_finetune_non_finite_optimizer_setting_exit_2(tmp_path, corpus_file, cap
 
 @pytest.mark.parametrize("key,value", [("steps", "-3"), ("batch_size", "0"),
                                        ("batch_size", "-1"), ("n_hints", "-1"),
-                                       ("checkpoint_every", "-5"), ("max_len", "0")])
+                                       ("checkpoint_every", "-5"), ("max_len", "0"),
+                                       ("lr", "-1"), ("momentum", "-0.5"),
+                                       ("weight_decay", "-1")])
 def test_finetune_out_of_range_count_exit_2(tmp_path, corpus_file, capsys, key, value):
     _, examples = _preprocess(tmp_path, corpus_file)
     _, vocab, merges = _train_tokenizer(tmp_path, examples)
@@ -284,6 +288,28 @@ def test_finetune_out_of_range_count_exit_2(tmp_path, corpus_file, capsys, key, 
     assert main(["finetune", "--config", str(cfg)]) == 2
     assert f"bad value for {key!r}: {value!r}" in capsys.readouterr().err
     assert not (tmp_path / "ck.bin").exists() and not (tmp_path / "loss.csv").exists()
+
+
+@pytest.mark.parametrize("edits, problem", [
+    ({"d_model": "10", "n_heads": "3"}, "{cfg}: d_model 10 not divisible by n_heads 3"),
+    ({"max_positions": "0"}, "{cfg}: max_positions must be >= 1, got 0"),
+    ({"n_heads": "0"}, "{cfg}: n_heads must be >= 1, got 0"),
+    ({"activation": "swish"}, "{cfg}: unknown activation 'swish'"),
+    # steps=3 stays on line 4 and line 5 sets it again
+    ({"steps": "3\nsteps=1000"}, "{cfg}:5: repeated config key 'steps'"),
+], ids=["heads", "positions", "zero-heads", "activation", "repeated-key"])
+def test_finetune_config_refused_before_any_file(tmp_path, capsys, edits, problem):
+    # the data, vocab and merges files do not exist, so reading any of them
+    # would fail with another error; the run directory must not be made
+    run = tmp_path / "run"
+    cfg = _write_config(tmp_path, run / "x.jsonl", run / "v.tsv", run / "m.tsv")
+    edits = {"checkpoint_path": run / "ck.bin", "loss_log": run / "loss.csv", **edits}
+    for key, value in edits.items():
+        _set_key(cfg, key, value)
+    assert main(["finetune", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert problem.format(cfg=cfg) in err
+    assert not run.exists()
 
 
 def test_finetune_config_not_utf8_names_path_and_line(tmp_path, corpus_file, capsys):

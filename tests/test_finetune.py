@@ -1,6 +1,7 @@
 import gc
 import weakref
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -445,18 +446,24 @@ def test_resume_matches_straight_run(tmp_path, tok):
         np.testing.assert_array_equal(pa.data, pb.data)
 
 
-def test_resume_logs_each_step_once(tmp_path, tok):
+def _run_config(tmp_path, tok, steps=4, checkpoint_every=2):
+    """A TrainingConfig over CORPUS, with its vocab, merges and data files
+    written to tmp_path."""
     vocab, merges, data = tmp_path / "vocab.tsv", tmp_path / "merges.tsv", tmp_path / "train.jsonl"
     save_vocabulary(tok, vocab, merges)
     write_examples_jsonl(CORPUS, data)
-    log = tmp_path / "loss.csv"
-    cfg = TrainingConfig(
-        seed=3, n_hints=0, batch_size=2, steps=4, lr=0.001, momentum=0.9,
+    return TrainingConfig(
+        seed=3, n_hints=0, batch_size=2, steps=steps, lr=0.001, momentum=0.9,
         weight_decay=0.0005, max_len=500, checkpoint_path=str(tmp_path / "ck.bin"),
-        checkpoint_every=2, data_path=str(data), vocab_file=str(vocab),
+        checkpoint_every=checkpoint_every, data_path=str(data), vocab_file=str(vocab),
         merges_file=str(merges), n_layers=1, d_model=16, n_heads=2, d_ff=32,
-        max_positions=128, loss_log=str(log),
+        max_positions=128, loss_log=str(tmp_path / "loss.csv"),
     )
+
+
+def test_resume_logs_each_step_once(tmp_path, tok):
+    cfg = _run_config(tmp_path, tok)
+    log = Path(cfg.loss_log)
 
     class Crash(Exception):
         pass
@@ -475,6 +482,28 @@ def test_resume_logs_each_step_once(tmp_path, tok):
     rows = log.read_text(encoding="utf-8").splitlines()
     assert [row.split(",")[0] for row in rows] == ["step", "1", "2", "3", "4"]
     assert rows[:4] == crashed  # the resumed run repeats step 3 exactly
+
+
+@pytest.mark.parametrize("steps, checkpoint_every, saved", [
+    (4, 2, [2, 4]), (3, 2, [2, 3]), (2, 0, [2]), (0, 2, [0]),
+])
+def test_each_checkpoint_is_written_once(tmp_path, tok, monkeypatch,
+                                         steps, checkpoint_every, saved):
+    written, save = [], finetune.save_checkpoint
+
+    def spy(path, params, state, step):
+        written.append(step)
+        save(path, params, state, step)
+
+    monkeypatch.setattr(finetune, "save_checkpoint", spy)
+    cfg = _run_config(tmp_path, tok, steps, checkpoint_every)
+    run_finetune(cfg)
+    assert written == saved
+    # a rerun resumes at the last step: nothing trains, the weights are saved as they are
+    before = Path(cfg.checkpoint_path).read_bytes()
+    run_finetune(cfg)
+    assert written == saved + [steps]
+    assert Path(cfg.checkpoint_path).read_bytes() == before
 
 
 # ---------------------------------------------------------------------------

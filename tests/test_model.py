@@ -681,6 +681,17 @@ def test_tensor_map_bad_meta_step(tmp_path):
     assert str(path) in str(err.value)
 
 
+def test_tensor_map_repeated_tensor_name(tmp_path):
+    # a second embed_pos would otherwise replace the first without a word
+    path = tmp_path / "map.bin"
+    first, second = np.zeros(2, dtype=np.float32), np.full(2, 7.0, dtype=np.float32)
+    path.write_bytes(b"PFXLM1 2\nembed_pos\t1\t2\n" + first.tobytes()
+                     + b"embed_pos\t1\t2\n" + second.tobytes())
+    with pytest.raises(WeightFileError, match="repeated tensor 'embed_pos'") as err:
+        read_tensor_map(path)
+    assert str(path) in str(err.value)
+
+
 def test_tensor_map_failed_write_keeps_old_file(tmp_path):
     path = tmp_path / "ck.bin"
     write_tensor_map(path, [("a", np.arange(3, dtype=np.float32))], meta_step=1)

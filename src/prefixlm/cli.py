@@ -134,7 +134,6 @@ def cmd_train_tokenizer(args) -> int:
 def cmd_finetune(args) -> int:
     started = _now()
     cfg = parse_training_config(args.config)
-    Path(cfg.checkpoint_path).parent.mkdir(parents=True, exist_ok=True)
 
     def log(step, loss):
         print(f"step {step}/{cfg.steps}  loss {loss:.4f}")

@@ -28,7 +28,7 @@ from .model import (
     read_tensor_map,
     write_tensor_map,
 )
-from .tensor import ComputationTape, backward, cross_entropy, scale, slice_rows
+from .tensor import ComputationTape, backward, cross_entropy, scale
 
 __all__ = [
     "HINTLESS_PROMPT",
@@ -157,9 +157,9 @@ def training_step(model: Model, batch, state: OptimizerState) -> float:
         mask = build_prefix_mask(len(ex.source_ids), t - len(ex.source_ids))
         first = t - len(ex.target_ids)
         with ComputationTape():
-            logits = model.forward(tokens, mask)
             # target token j is scored by the logits at position j-1
-            loss = cross_entropy(slice_rows(logits, first - 1, t - 1), ex.target_ids)
+            logits = model.forward_rows(tokens, mask, (first - 1, t - 1))
+            loss = cross_entropy(logits, ex.target_ids)
             backward(scale(loss, inv))
         value = loss.item()
         if not np.isfinite(value):
@@ -175,13 +175,15 @@ def training_step(model: Model, batch, state: OptimizerState) -> float:
 
 
 def save_checkpoint(path, params: ModelParams, state: OptimizerState, step: int):
-    """Model tensors plus per-parameter optimizer velocities and the step."""
+    """Model tensors plus per-parameter optimizer velocities and the step;
+    makes the checkpoint's directory if it is missing."""
     items = [(name, p.data) for name, p in params.named()]
     for name, p in params.named():
         v = state.velocity.get(name)
         items.append(
             (f"optimizer.{name}.velocity", v if v is not None else np.zeros_like(p.data))
         )
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     write_tensor_map(path, items, meta_step=step)
 
 
@@ -297,7 +299,8 @@ def parse_training_config(path) -> TrainingConfig:
 def _cut_loss_log(path: Path, step: int):
     """Start the loss log afresh, or on resume from `step` keep only its rows
     up to that step: a run that stopped after its last checkpoint may have
-    logged later steps, which the resumed run trains and logs again."""
+    logged later steps, which the resumed run trains and logs again. Makes
+    the log's directory if it is missing."""
     rows = ["step,loss\n"]
     if step > 0 and path.exists():
         with open(path, encoding="utf-8", errors="replace") as f:
@@ -305,6 +308,7 @@ def _cut_loss_log(path: Path, step: int):
                 field = line.partition(",")[0]
                 if field.isdecimal() and int(field) <= step and line.endswith("\n"):
                     rows.append(line)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("".join(rows), encoding="utf-8")
 
 

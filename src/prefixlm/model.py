@@ -6,9 +6,14 @@ norm applied before each sublayer, residual around both), a final layer
 norm, and a language-model head tied to the token embedding. Attention
 masks are plain float matrices with 0 (visible) and -inf (hidden) entries;
 the causal and prefix builders below cover training and generation.
-One layer loop (Model._blocks over block_forward, whose attention is the
-fused tensor.attention op) serves the training forward and incremental
-decoding: Model.prefill and Model.step pass each layer's slice of a
+One forward, Model.forward_rows (a layer loop over block_forward, whose
+attention is the fused tensor.attention op), serves training and
+incremental decoding. It returns logits for a range of rows only: the last
+block needs keys and values from every row, but its queries, output
+projection, residuals, feed-forward sublayer, the final layer norm and the
+head run on that range alone. Training asks for the rows that predict the
+target tokens, decoding for the last row; Model.forward is the all-rows
+form. Model.prefill and Model.step also pass each layer's slice of a
 key/value cache, so new rows attend over the cached positions too.
 """
 
@@ -46,7 +51,6 @@ __all__ = [
     "LN_EPS",
     "build_causal_mask",
     "build_prefix_mask",
-    "ffn",
     "block_forward",
     "KVCache",
     "param_spec",
@@ -189,12 +193,6 @@ def build_prefix_mask(m: int, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def ffn(x: Tensor, block: BlockParams, activation: str = "relu") -> Tensor:
-    act = _ACTIVATIONS[activation]
-    hidden = act(add(matmul(x, block.ffn_w1), block.ffn_b1))
-    return add(matmul(hidden, block.ffn_w2), block.ffn_b2)
-
-
 def block_forward(
     x: Tensor,
     mask: np.ndarray | None,
@@ -202,16 +200,22 @@ def block_forward(
     n_heads: int,
     activation: str = "relu",
     cache=None,
+    rows=None,
 ) -> Tensor:
     """Pre-LN residual block: attention sublayer, then feed-forward sublayer.
 
-    `mask` and `cache` (one layer's keys, values and start) are as in
-    tensor.attention.
+    Every row of x feeds the keys and values; only the rows `rows` = (a, b),
+    all rows when None, are carried on through the queries, the output
+    projection, the residuals and the feed-forward sublayer, so the result is
+    [b-a x d]. `mask`, `cache` and `rows` are as in tensor.attention.
     """
     qkv = matmul(layer_norm(x, block.ln1_gamma, block.ln1_beta, LN_EPS), block.attn_qkv)
-    h = add(matmul(attention(qkv, mask, n_heads, cache), block.attn_out), x)
-    fed = ffn(layer_norm(h, block.ln2_gamma, block.ln2_beta, LN_EPS), block, activation)
-    return add(fed, h)
+    if rows is not None:
+        x = slice_rows(x, *rows)
+    h = add(matmul(attention(qkv, mask, n_heads, cache, rows), block.attn_out), x)
+    hidden = layer_norm(h, block.ln2_gamma, block.ln2_beta, LN_EPS)
+    hidden = _ACTIVATIONS[activation](add(matmul(hidden, block.ffn_w1), block.ffn_b1))
+    return add(add(matmul(hidden, block.ffn_w2), block.ffn_b2), h)
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +266,28 @@ class Model:
 
     def forward(self, token_ids, mask: np.ndarray) -> Tensor:
         """Next-token logits [T x vocab_size] under the given attention mask."""
-        return self._head(self._blocks(token_ids, mask))
+        return self.forward_rows(token_ids, mask, None)
 
-    def _blocks(self, token_ids, mask, cache: KVCache | None = None) -> Tensor:
-        """The last block's output for the tokens. With a cache they sit at
-        positions cache.length onward and each layer writes their keys and
-        values into its slice of the cache (cache.length is left as it was)."""
+    def forward_rows(self, token_ids, mask, rows, cache: KVCache | None = None) -> Tensor:
+        """Next-token logits [b-a x vocab_size] of the rows `rows` = (a, b),
+        or of every row when rows is None. `mask` covers every row; `cache`
+        is as in _blocks. Only the last block and the head work on the rows."""
+        return self._head(self._blocks(token_ids, mask, cache, rows))
+
+    def _blocks(self, token_ids, mask, cache: KVCache | None = None, rows=None) -> Tensor:
+        """The last block's output for the tokens, at the rows `rows` (all
+        when None). With a cache they sit at positions cache.length onward
+        and each layer writes their keys and values into its slice of the
+        cache (cache.length is left as it was)."""
         start = 0 if cache is None else cache.length
         x = self.embed(token_ids, start)
+        last = self.config.n_layers - 1
         for layer, block in enumerate(self.params.blocks):
             kv = None if cache is None else (cache.keys[layer], cache.values[layer], start)
-            x = block_forward(x, mask, block, self.config.n_heads, self.config.activation, kv)
+            cut = rows if layer == last else None
+            if cut is not None and mask is not None:
+                mask = mask[cut[0]:cut[1]]
+            x = block_forward(x, mask, block, self.config.n_heads, self.config.activation, kv, cut)
         return x
 
     def prefill(self, token_ids, m: int):
@@ -296,9 +311,10 @@ class Model:
     def _extend(self, cache: KVCache, token_ids, mask) -> np.ndarray:
         if active_tape() is not None:
             raise GraphError("incremental decoding runs outside any tape")
-        x = self._blocks(token_ids, mask, cache)
-        cache.length += len(token_ids)
-        return self._head(slice_rows(x, x.shape[0] - 1, x.shape[0])).data[0]
+        t = len(token_ids)
+        logits = self.forward_rows(token_ids, mask, (t - 1, t), cache)
+        cache.length += t
+        return logits.data[0]
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +373,15 @@ def write_tensor_map(path, items, meta_step: int | None = None):
     """Write (name, array) pairs: text header/meta lines, raw f32 payloads.
 
     The file is written beside `path` and then renamed over it, so a crash
-    mid-write leaves any previous file at `path` intact.
+    mid-write leaves any previous file at `path` intact. A repeated name,
+    which read_tensor_map would refuse, is refused before anything is written.
     """
     items = list(items)
+    seen = set()
+    for name, _ in items:
+        if name in seen:
+            raise WeightFileError(f"{path}: repeated tensor {name!r}")
+        seen.add(name)
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as f:

@@ -357,26 +357,35 @@ def _split_heads(qkv: np.ndarray, n_heads: int) -> np.ndarray:
     return qkv.reshape(qkv.shape[0], 3, n_heads, -1).transpose(1, 2, 0, 3)
 
 
-def attention(qkv: Tensor, mask: np.ndarray | None, n_heads: int, cache=None) -> Tensor:
+def attention(
+    qkv: Tensor, mask: np.ndarray | None, n_heads: int, cache=None, rows=None
+) -> Tensor:
     """Multi-head self-attention of a fused [t x 3*d] query|key|value
-    projection: softmax(q k^T / sqrt(d_k) + mask) v per head, the [t x d]
-    result with the heads side by side.
+    projection: softmax(q k^T / sqrt(d_k) + mask) v per head, the result with
+    the heads side by side.
 
-    Without a cache the rows attend over their own keys and values, s = t of
-    them. `cache` is one layer's (keys, values, start), with keys and values
-    [H x positions x d_k] arrays: the rows sit at positions start onward,
-    their keys and values are written there, and they attend over the
-    s = start + t positions up to their own. `mask` is 0/-inf [t x s], or
-    None when every position is visible. Cached calls are for decoding, off
-    the tape. The backward keeps only the softmax weights besides its operand.
+    Queries come from the rows `rows` = (a, b) of the projection, all t rows
+    when None, and the result is [b-a x d]. Keys and values come from every
+    row. Without a cache the queries attend over those t rows, s = t of them.
+    `cache` is one layer's (keys, values, start), with keys and values
+    [H x positions x d_k] arrays: the t rows sit at positions start onward,
+    their keys and values are written there, and the queries attend over the
+    s = start + t positions up to the last row. `mask` is 0/-inf [b-a x s],
+    or None when every position is visible. Cached calls are for decoding,
+    off the tape. The backward keeps only the softmax weights besides its
+    operand, and its query gradient is zero outside the query rows.
     """
     if qkv.ndim != 2 or qkv.shape[1] % (3 * n_heads):
         raise ShapeError(f"attention needs [t x 3*d] with {n_heads} heads, got {qkv.shape}")
     t = qkv.shape[0]
+    a, b = (0, t) if rows is None else rows
+    if not 0 <= a < b <= t:
+        raise ShapeError(f"query rows [{a}:{b}] out of range for {t} rows")
     s = t if cache is None else cache[2] + t
-    if mask is not None and np.shape(mask) != (t, s):
-        raise ShapeError(f"mask must be ({t}, {s}), got {np.shape(mask)}")
+    if mask is not None and np.shape(mask) != (b - a, s):
+        raise ShapeError(f"mask must be ({b - a}, {s}), got {np.shape(mask)}")
     q, k, v = _split_heads(qkv.data, n_heads)
+    q = q[:, a:b]
     if cache is not None:
         keys, values, start = cache
         keys[:, start:s], values[:, start:s] = k, v
@@ -387,19 +396,20 @@ def attention(qkv: Tensor, mask: np.ndarray | None, n_heads: int, cache=None) ->
     if mask is not None:
         scores += np.asarray(mask, dtype=scores.dtype)
     w = _softmax(scores)
-    heads = np.matmul(w, v).transpose(1, 0, 2).reshape(t, -1)
+    heads = np.matmul(w, v).transpose(1, 0, 2).reshape(b - a, -1)
 
     def bw(g):
-        g = g.reshape(t, n_heads, -1).transpose(1, 0, 2)  # [H, T, d_k]
+        g = g.reshape(b - a, n_heads, -1).transpose(1, 0, 2)  # [H, b-a, d_k]
         dw = np.matmul(g, v.transpose(0, 2, 1))
-        # ds = w * (dw - rowsum(dw * w)) * c, in place: fresh [H, T, T] buffers page-fault
+        # ds = w * (dw - rowsum(dw * w)) * c, in place: fresh [H, b-a, T] buffers page-fault
         ds = dw
         ds -= (dw * w).sum(axis=-1, keepdims=True)
         ds *= w
         ds *= c
         grad = np.empty_like(qkv.data)
         dq, dk, dv = _split_heads(grad, n_heads)
-        dq[...] = np.matmul(ds, k)
+        dq[:, :a], dq[:, b:] = 0, 0
+        dq[:, a:b] = np.matmul(ds, k)
         dk[...] = np.matmul(q.transpose(0, 2, 1), ds).transpose(0, 2, 1)
         dv[...] = np.matmul(w.transpose(0, 2, 1), g)
         _accumulate(qkv, grad)

@@ -1,13 +1,13 @@
 """Independent oracles shared across the test suite.
 
 Nothing in here touches the library's dynamic programming or its tokenizer,
-and only reference_attention and reference_masked_loss touch its backward
-pass (through tape ops that are gradchecked on their own); these exist so
-the tests can check the fast paths against slow, obviously-correct
-computations. The tape ops mul, sum_all and softmax_rows live here, not in
-the library, which never calls them: they are gradcheck instruments and
-reference_attention's softmax, recorded on the library's tape through its
-_wrap and _accumulate.
+and only reference_attention, reference_masked_loss and reference_step
+touch its backward pass (through tape ops that are gradchecked on their
+own); these exist so the tests can check the fast paths against slow,
+obviously-correct computations. The tape ops mul, sum_all and softmax_rows
+live here, not in the library, which never calls them: they are gradcheck
+instruments and reference_attention's softmax, recorded on the library's
+tape through its _wrap and _accumulate.
 """
 
 import unicodedata
@@ -245,3 +245,27 @@ def reference_masked_loss(model, example):
         loss = cross_entropy(slice_rows(logits, 0, t - 1), tokens[1:], loss_mask[1:])
         backward(scale(loss, 1.0))
     return loss.item()
+
+
+def reference_step(model, batch):
+    """training_step's gradients without its update, on the all-rows path
+    that the row-range forward replaces: Model.forward computes logits for
+    every row, and the slice of the rows before the target tokens is scored.
+
+    Leaves each example's loss, scaled by 1/batch, backpropagated into
+    model.params (cleared first); returns the mean loss.
+    """
+    model.params.zero_grads()
+    inv = 1.0 / len(batch)
+    total = 0.0
+    for ex in batch:
+        tokens = ex.tokens
+        t = len(tokens)
+        first = t - len(ex.target_ids)
+        mask = build_prefix_mask(len(ex.source_ids), t - len(ex.source_ids))
+        with ComputationTape():
+            logits = model.forward(tokens, mask)
+            loss = cross_entropy(slice_rows(logits, first - 1, t - 1), ex.target_ids)
+            backward(scale(loss, inv))
+        total += loss.item()
+    return total * inv

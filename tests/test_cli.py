@@ -312,6 +312,23 @@ def test_finetune_config_refused_before_any_file(tmp_path, capsys, edits, proble
     assert not run.exists()
 
 
+def test_finetune_missing_vocab_makes_no_directory(tmp_path, corpus_file, capsys):
+    # the run directory appears with the run's first output, not before
+    _, examples = _preprocess(tmp_path, corpus_file)
+    _, vocab, merges = _train_tokenizer(tmp_path, examples)
+    cfg = _write_config(tmp_path, examples, vocab, merges)
+    run = tmp_path / "f1" / "run"
+    _set_key(cfg, "checkpoint_path", run / "ck.bin")
+    _set_key(cfg, "loss_log", run / "loss.csv")
+    _set_key(cfg, "vocab_file", tmp_path / "missing.tsv")
+    assert main(["finetune", "--config", str(cfg)]) == 2
+    assert "missing.tsv" in capsys.readouterr().err
+    assert not (tmp_path / "f1").exists()
+    _set_key(cfg, "vocab_file", vocab)
+    assert main(["finetune", "--config", str(cfg)]) == 0
+    assert (run / "ck.bin").exists() and (run / "loss.csv").exists()
+
+
 def test_finetune_config_not_utf8_names_path_and_line(tmp_path, corpus_file, capsys):
     _, examples = _preprocess(tmp_path, corpus_file)
     _, vocab, merges = _train_tokenizer(tmp_path, examples)

@@ -1,6 +1,6 @@
 import gc
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,7 @@ from prefixlm.model import (
 )
 from prefixlm.tensor import Tensor, active_tape, cross_entropy
 
-from oracles import reference_masked_loss
+from oracles import reference_masked_loss, reference_step
 
 SECTIONS = ("BACKGROUND", "OBJECTIVE", "RESULTS")
 
@@ -275,11 +275,11 @@ def test_training_step_leaves_no_tape_alive(tok):
     model = tiny_model(tok, seed=5)
     tapes = []
 
-    def forward(tokens, mask):
+    def forward_rows(tokens, mask, rows):
         tapes.append(weakref.ref(active_tape()))
-        return Model.forward(model, tokens, mask)
+        return Model.forward_rows(model, tokens, mask, rows)
 
-    model.forward = forward
+    model.forward_rows = forward_rows
     batch = [prepare_example(e, 1, tok) for e in CORPUS]
     gc.disable()
     try:
@@ -303,14 +303,14 @@ def test_parameters_hold_gradients_only_after_a_step(tok, tmp_path):
 
 
 def _capture_logits(model):
-    """Make model.forward keep each logits tensor it returns."""
+    """Make model.forward_rows keep each (rows, logits tensor) it returns."""
     seen = []
 
-    def forward(tokens, mask):
-        seen.append(Model.forward(model, tokens, mask))
-        return seen[-1]
+    def forward_rows(tokens, mask, rows):
+        seen.append((rows, Model.forward_rows(model, tokens, mask, rows)))
+        return seen[-1][1]
 
-    model.forward = forward
+    model.forward_rows = forward_rows
     return seen
 
 
@@ -320,15 +320,14 @@ def test_gradient_zero_outside_predicting_rows(tok):
     t = len(ex)
     seen = _capture_logits(model)
     training_step(model, [ex], OptimizerState())
-    logits = seen[0]
-    # row j-1 predicts token j; only rows predicting a target token get grads
+    (a, b), logits = seen[0]
+    # row j-1 predicts token j; only rows predicting a target token have
+    # logits, and each of them gets a gradient
     predicting = {j - 1 for j in range(t - len(ex.target_ids), t)}
-    for row in range(t):
-        row_grad = logits.grad[row]
-        if row in predicting:
-            assert np.any(row_grad != 0.0)
-        else:
-            assert np.all(row_grad == 0.0)
+    assert set(range(a, b)) == predicting
+    assert logits.shape == (len(predicting), len(tok.vocab))
+    for row_grad in logits.grad:
+        assert np.any(row_grad != 0.0)
 
 
 def test_hint_tokens_condition_but_are_not_scored(tok, monkeypatch):
@@ -358,17 +357,34 @@ def test_hint_tokens_condition_but_are_not_scored(tok, monkeypatch):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n_hints", [0, 1, 2])
 def test_target_slice_matches_masked_loss(tok, n_hints, dtype):
-    # the loss and every gradient equal the all-rows masked loss exactly
+    # scoring the target slice of the all-rows logits gives the loss and every
+    # gradient of the all-rows masked loss exactly
     ex = prepare_example(CORPUS[2], n_hints, tok)
     assert len(ex.forced_prefix_ids) >= n_hints
     config = tiny_model(tok).config
     ref = Model(config, init_params(config, 8, dtype=dtype))
     want = reference_masked_loss(ref, ex)
     model = Model(config, init_params(config, 8, dtype=dtype))
-    assert training_step(model, [ex], OptimizerState(lr=0.0)) == want
+    assert reference_step(model, [ex]) == want
     for (name, p), (_, r) in zip(model.params.named(), ref.params.named()):
         assert p.dtype == dtype
         np.testing.assert_array_equal(p.grad, r.grad, err_msg=name)
+
+
+@pytest.mark.parametrize("n_layers", [2, 4])
+@pytest.mark.parametrize("n_hints", [0, 2])
+def test_row_range_step_matches_all_rows_forward(tok, n_hints, n_layers):
+    # the last block runs on the scored rows only; in float64 the loss and
+    # every gradient match the all-rows forward up to rounding
+    batch = [prepare_example(e, n_hints, tok) for e in CORPUS]
+    config = replace(tiny_model(tok).config, n_layers=n_layers)
+    ref = Model(config, init_params(config, 9, dtype=np.float64))
+    want = reference_step(ref, batch)
+    model = Model(config, init_params(config, 9, dtype=np.float64))
+    got = training_step(model, batch, OptimizerState(lr=0.0))
+    assert abs(got - want) <= 1e-12
+    for (name, p), (_, r) in zip(model.params.named(), ref.params.named()):
+        np.testing.assert_allclose(p.grad, r.grad, rtol=0, atol=1e-12, err_msg=name)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,6 @@ from prefixlm.model import (
     block_forward,
     build_causal_mask,
     build_prefix_mask,
-    ffn,
     init_params,
     param_count,
     param_spec,
@@ -250,31 +250,41 @@ def test_mhsa_two_heads_match_hand_assembly():
 # ---------------------------------------------------------------------------
 
 
+def _feed_forward_block(d, d_ff):
+    """_identity_block with its attention output zeroed: block_forward then
+    returns x plus its feed-forward sublayer of layer_norm(x)."""
+    block = _identity_block(d, d_ff)
+    block.attn_out = Tensor(np.zeros((d, d)))
+    return block
+
+
 def test_ffn_constant_bias():
-    block = _identity_block(3, d_ff=4)
+    block = _feed_forward_block(3, d_ff=4)
     block.ffn_b2 = Tensor([1.0, 2.0, 3.0])
-    out = ffn(Tensor(np.random.default_rng(0).normal(size=(5, 3))), block)
-    np.testing.assert_allclose(out.data, np.tile([1.0, 2.0, 3.0], (5, 1)), atol=1e-7)
+    x = np.random.default_rng(0).normal(size=(5, 3)).astype(np.float32)
+    out = block_forward(Tensor(x), None, block, n_heads=1)
+    np.testing.assert_allclose(out.data, x + np.tile([1.0, 2.0, 3.0], (5, 1)), atol=1e-7)
 
 
 def test_ffn_is_position_wise():
     rng = np.random.default_rng(5)
-    block = _identity_block(4, d_ff=6)
+    block = _feed_forward_block(4, d_ff=6)
     block.ffn_w1 = Tensor(rng.normal(size=(4, 6)))
     block.ffn_w2 = Tensor(rng.normal(size=(6, 4)))
     x = rng.normal(size=(3, 4)).astype(np.float32)
-    out = ffn(Tensor(x), block).data
+    out = block_forward(Tensor(x), None, block, n_heads=1).data
     perm = [2, 0, 1]
-    out_perm = ffn(Tensor(x[perm]), block).data
+    out_perm = block_forward(Tensor(x[perm]), None, block, n_heads=1).data
     np.testing.assert_array_equal(out_perm, out[perm])
 
 
 def test_ffn_hand_case():
-    block = _identity_block(1, d_ff=2)
+    block = _feed_forward_block(1, d_ff=2)
     block.ffn_w1 = Tensor([[-2.0, 3.0]])
     block.ffn_w2 = Tensor([[1.0], [1.0]])
-    out = ffn(Tensor([[1.0]]), block)
-    np.testing.assert_allclose(out.data, [[3.0]], atol=1e-7)
+    block.ln2_beta = Tensor([1.0])  # a 1-wide layer norm outputs its beta: the input is 1
+    out = block_forward(Tensor([[1.0]]), None, block, n_heads=1)
+    np.testing.assert_allclose(out.data, [[1.0 + 3.0]], atol=1e-7)
 
 
 def test_block_zero_weights_is_residual_passthrough():
@@ -445,6 +455,33 @@ def test_cached_decoding_matches_full_forward(activation, m, n_hints):
     assert cache.length == config.max_positions
     with ComputationTape(), pytest.raises(GraphError):
         model.prefill(tokens[:prompt], m)
+
+
+@pytest.mark.parametrize("rows", [(0, 6), (2, 5), (5, 6)])
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_forward_rows_match_forward_slice(n_layers, rows):
+    config = replace(TINY, n_layers=n_layers)
+    model = Model(config, init_params(config, seed=33))
+    tokens, mask = [3, 1, 4, 1, 5, 9], build_prefix_mask(3, 3)
+    full = model.forward(tokens, mask).data
+    out = model.forward_rows(tokens, mask, rows).data
+    np.testing.assert_allclose(out, full[rows[0]:rows[1]], rtol=0, atol=1e-5)
+
+
+def test_forward_rows_reject_mask_of_other_length():
+    with pytest.raises(ShapeError, match="mask"):
+        tiny_model().forward_rows([1, 2, 3], build_causal_mask(2), (1, 3))
+
+
+@pytest.mark.parametrize("m, n_hints", [(5, 0), (5, 3), (1, 2)])
+def test_prefill_logits_match_forward_last_row(m, n_hints):
+    # float32, as generation runs: prefill reads the last prompt row only
+    model = tiny_model(seed=34)
+    prompt = [int(i) for i in np.random.default_rng(m + n_hints).integers(0, 16, m + n_hints)]
+    logits, cache = model.prefill(prompt, m)
+    full = model.forward(prompt, build_prefix_mask(m, n_hints)).data
+    np.testing.assert_allclose(logits, full[-1], rtol=0, atol=1e-5)
+    assert cache.length == len(prompt)
 
 
 def test_full_tiny_model_gradcheck_vs_finite_differences():
@@ -690,6 +727,16 @@ def test_tensor_map_repeated_tensor_name(tmp_path):
     with pytest.raises(WeightFileError, match="repeated tensor 'embed_pos'") as err:
         read_tensor_map(path)
     assert str(path) in str(err.value)
+
+
+def test_tensor_map_writer_refuses_repeated_tensor_name(tmp_path):
+    # the reader would refuse the file, so the writer never starts one
+    path = tmp_path / "map.bin"
+    items = [("a", np.zeros(2, dtype=np.float32)), ("a", np.ones(2, dtype=np.float32))]
+    with pytest.raises(WeightFileError, match="repeated tensor 'a'") as err:
+        write_tensor_map(path, items, meta_step=1)
+    assert str(path) in str(err.value)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_tensor_map_failed_write_keeps_old_file(tmp_path):

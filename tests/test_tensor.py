@@ -449,6 +449,56 @@ def test_cached_attention_matches_one_full_call(start, mask_name):
     assert np.isnan(keys[:, 5:]).all() and np.isnan(values[:, 5:]).all()
 
 
+@pytest.mark.parametrize("mask_name", sorted(ATTENTION_MASKS))
+@pytest.mark.parametrize("rows", [(0, 5), (2, 4), (4, 5), (0, 1)])
+def test_attention_query_rows_match_full_call(rows, mask_name):
+    # queries from rows a:b, keys and values from all rows: the full call's
+    # rows a:b, and its gradient when only those rows carry one
+    a, b = rows
+    mask = ATTENTION_MASKS[mask_name]
+    qkv = np.random.default_rng(a * 7 + b).normal(size=(5, 36))
+    w = np.zeros((5, 12))
+    w[a:b] = np.random.default_rng(98).normal(size=(b - a, 12))
+    results = []
+    for q_rows, q_mask, weight in ((rows, mask[a:b], w[a:b]), (None, mask, w)):
+        leaf = t64(qkv, requires_grad=True)
+        with ComputationTape():
+            out = attention(leaf, q_mask, 3, rows=q_rows)
+            backward(sum_all(mul(out, t64(weight))))
+        results.append((out.data, leaf.grad))
+    (out, grad), (full, full_grad) = results
+    np.testing.assert_allclose(out, full[a:b], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grad, full_grad, rtol=0, atol=1e-12)
+    # no query gradient outside the rows
+    dq = grad[:, :12]
+    assert not dq[:a].any() and not dq[b:].any()
+
+
+@pytest.mark.parametrize("start", [1, 3])
+def test_cached_attention_query_rows(start):
+    # a cached call writes keys and values for every new row and answers the
+    # queries of its rows only
+    mask = build_prefix_mask(2, 3)
+    qkv = np.random.default_rng(start).normal(size=(5, 36))
+    keys, values = np.full((3, 8, 4), np.nan), np.full((3, 8, 4), np.nan)
+    attention(t64(qkv[:start]), mask[:start, :start], 3, (keys, values, 0))
+    out = attention(t64(qkv[start:]), mask[4:5], 3, (keys, values, start), (4 - start, 5 - start))
+    full = attention(t64(qkv), mask, 3).data
+    np.testing.assert_allclose(out.data, full[4:5], rtol=0, atol=1e-12)
+    assert not np.isnan(keys[:, :5]).any() and np.isnan(keys[:, 5:]).all()
+
+
+def test_attention_rejects_query_rows_mismatch():
+    qkv = t64(np.zeros((4, 12)))
+    # rows 1:3 need a 2 x 4 mask, not the 4 x 4 mask of every row
+    with pytest.raises(ShapeError, match=r"\(2, 4\)"):
+        attention(qkv, np.zeros((4, 4)), 2, rows=(1, 3))
+    attention(qkv, np.zeros((2, 4)), 2, rows=(1, 3))
+    for rows in ((2, 2), (3, 1), (-1, 2), (0, 5)):
+        with pytest.raises(ShapeError, match="query rows"):
+            attention(qkv, None, 2, rows=rows)
+
+
 def test_attention_rejects_mismatched_shapes():
     qkv = t64(np.zeros((3, 12)))
     with pytest.raises(ShapeError):

@@ -182,8 +182,14 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _check_n_hints(obj):
+    n = obj["n_hints"]
+    if isinstance(n, bool) or n < 0:
+        raise ValueError(f"'n_hints' must be a count >= 0, got {n!r}")
+
+
 def _read_generated(path):
-    return read_jsonl(path, {"pmid": str, "output": str, "n_hints": int})
+    return read_jsonl(path, {"pmid": str, "output": str, "n_hints": int}, check=_check_n_hints)
 
 
 def cmd_score(args) -> int:

@@ -132,7 +132,10 @@ def _normalize_sections(sections) -> tuple[str, ...]:
 def to_conclusion_task(abstract: RctAbstract, sections) -> RctExample | None:
     """Source/target pair for one abstract, or None when it must be skipped
     (no conclusion sentences, or nothing in the selected sections)."""
-    sections = _normalize_sections(sections)
+    return _conclusion_task(abstract, _normalize_sections(sections))
+
+
+def _conclusion_task(abstract: RctAbstract, sections: tuple[str, ...]) -> RctExample | None:
     source = [text for label, text in abstract.sentences if label in sections]
     target = [text for label, text in abstract.sentences if label == "CONCLUSIONS"]
     if not source or not target:
@@ -148,11 +151,14 @@ def to_conclusion_task(abstract: RctAbstract, sections) -> RctExample | None:
 
 
 def build_examples(abstracts, sections):
-    """All usable examples plus the count of skipped abstracts."""
+    """All usable examples plus the count of skipped abstracts. The sections
+    are checked before any abstract is read, so an empty corpus rejects a
+    bad one too."""
+    sections = _normalize_sections(sections)
     examples = []
     skipped = 0
     for abstract in abstracts:
-        example = to_conclusion_task(abstract, sections)
+        example = _conclusion_task(abstract, sections)
         if example is None:
             skipped += 1
         else:
@@ -218,10 +224,11 @@ def write_examples_jsonl(examples, path):
             )
 
 
-def read_jsonl(path, schema: dict, error=ValueError) -> list[tuple]:
+def read_jsonl(path, schema: dict, error=ValueError, check=None) -> list[tuple]:
     """The fields named by `schema` ({key: type}) of every nonblank line of a
     JSONL file, one tuple per line; a line that is not a JSON object with
-    fields of those types raises `error` naming path:line."""
+    fields of those types, or that `check(obj)` refuses with ValueError,
+    raises `error` naming path:line."""
     rows = []
     for lineno, line in _text_lines(path, error):
         if not line.strip():
@@ -233,6 +240,8 @@ def read_jsonl(path, schema: dict, error=ValueError) -> list[tuple]:
             for key, kind in schema.items():
                 if not isinstance(obj.get(key), kind):
                     raise TypeError(f"{key!r} is missing or not a {kind.__name__}")
+            if check is not None:
+                check(obj)
         except (ValueError, TypeError, RecursionError) as e:
             raise error(f"{path}:{lineno}: bad line: {e}") from e
         rows.append(tuple(obj[key] for key in schema))

@@ -4,8 +4,9 @@ The stack is: token + learned position embeddings, N blocks of masked
 multi-head self-attention and a position-wise feed-forward sublayer (layer
 norm applied before each sublayer, residual around both), a final layer
 norm, and a language-model head tied to the token embedding. Attention
-masks are plain float matrices with 0 (visible) and -inf (hidden) entries;
-the causal and prefix builders below cover training and generation.
+masks are plain float matrices with 0 (visible) and -inf (hidden) entries.
+Training and decoding use the prefix mask (bidirectional source, causal
+target); the causal mask is the plain language-model case.
 One forward, Model.forward_rows (a layer loop over block_forward, whose
 attention is the fused tensor.attention op), serves training and
 incremental decoding. It returns logits for a range of rows only: the last
@@ -20,9 +21,10 @@ key/value cache, so new rows attend over the cached positions too.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +45,6 @@ from .tensor import (
 
 __all__ = [
     "ModelConfig",
-    "BlockParams",
     "ModelParams",
     "Model",
     "WeightFileError",
@@ -101,61 +102,44 @@ class ModelConfig:
         return self.d_model // self.n_heads
 
 
-# One row per block tensor, in file order: attribute, file name, shape from
-# (d_model, d_ff), and init (normal draws, ones or zeros).
+# One row per block tensor, in file order: name within the block, shape
+# from (d_model, d_ff), and init (normal draws, ones or zeros). attn_qkv
+# fuses the query, key and value projections.
 _BLOCK_TENSORS = (
-    ("ln1_gamma", "ln1.weight", lambda d, h: (d,), "ones"),
-    ("ln1_beta", "ln1.bias", lambda d, h: (d,), "zeros"),
-    ("attn_qkv", "attn_qkv.weight", lambda d, h: (d, 3 * d), "normal"),
-    ("attn_out", "attn_out.weight", lambda d, h: (d, d), "normal"),
-    ("ln2_gamma", "ln2.weight", lambda d, h: (d,), "ones"),
-    ("ln2_beta", "ln2.bias", lambda d, h: (d,), "zeros"),
-    ("ffn_w1", "ffn_w1.weight", lambda d, h: (d, h), "normal"),
-    ("ffn_b1", "ffn_b1.bias", lambda d, h: (h,), "zeros"),
-    ("ffn_w2", "ffn_w2.weight", lambda d, h: (h, d), "normal"),
-    ("ffn_b2", "ffn_b2.bias", lambda d, h: (d,), "zeros"),
+    ("ln1.weight", lambda d, h: (d,), "ones"),
+    ("ln1.bias", lambda d, h: (d,), "zeros"),
+    ("attn_qkv.weight", lambda d, h: (d, 3 * d), "normal"),
+    ("attn_out.weight", lambda d, h: (d, d), "normal"),
+    ("ln2.weight", lambda d, h: (d,), "ones"),
+    ("ln2.bias", lambda d, h: (d,), "zeros"),
+    ("ffn_w1.weight", lambda d, h: (d, h), "normal"),
+    ("ffn_b1.bias", lambda d, h: (h,), "zeros"),
+    ("ffn_w2.weight", lambda d, h: (h, d), "normal"),
+    ("ffn_b2.bias", lambda d, h: (d,), "zeros"),
 )
 
 
-@dataclass
-class BlockParams:
-    ln1_gamma: Tensor
-    ln1_beta: Tensor
-    attn_qkv: Tensor  # d_model x 3*d_model, query/key/value fused
-    attn_out: Tensor  # d_model x d_model
-    ln2_gamma: Tensor
-    ln2_beta: Tensor
-    ffn_w1: Tensor
-    ffn_b1: Tensor
-    ffn_w2: Tensor
-    ffn_b2: Tensor
-
-    def named(self, prefix: str):
-        for attr, name, _, _ in _BLOCK_TENSORS:
-            yield f"{prefix}.{name}", getattr(self, attr)
+@functools.cache
+def _block_keys(i: int) -> tuple:
+    """(name within the block, weights-file name) of layer i's tensors. Cached:
+    decoding looks a layer's tensors up once per token."""
+    return tuple((name, f"block{i}.{name}") for name, _, _ in _BLOCK_TENSORS)
 
 
-@dataclass
-class ModelParams:
-    """All learnable weights. The LM head is embed_token transposed (tied)."""
-
-    embed_token: Tensor  # vocab_size x d_model
-    embed_pos: Tensor  # max_positions x d_model
-    blocks: list[BlockParams] = field(default_factory=list)
-    final_ln_gamma: Tensor = None
-    final_ln_beta: Tensor = None
+class ModelParams(dict):
+    """All learnable weights, {weights-file name: Tensor} in param_spec order.
+    The LM head is embed_token transposed (tied)."""
 
     def named(self):
-        yield "embed_token", self.embed_token
-        yield "embed_pos", self.embed_pos
-        for i, b in enumerate(self.blocks):
-            yield from b.named(f"block{i}")
-        yield "final_ln.gamma", self.final_ln_gamma
-        yield "final_ln.beta", self.final_ln_beta
+        return self.items()
 
     def zero_grads(self):
-        for _, p in self.named():
+        for p in self.values():
             p.zero_grad()
+
+    def block(self, i: int) -> dict:
+        """Layer i's tensors, keyed by their names within the block."""
+        return {name: self[key] for name, key in _block_keys(i)}
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +180,7 @@ def build_prefix_mask(m: int, n: int) -> np.ndarray:
 def block_forward(
     x: Tensor,
     mask: np.ndarray | None,
-    block: BlockParams,
+    block,
     n_heads: int,
     activation: str = "relu",
     cache=None,
@@ -207,15 +191,18 @@ def block_forward(
     Every row of x feeds the keys and values; only the rows `rows` = (a, b),
     all rows when None, are carried on through the queries, the output
     projection, the residuals and the feed-forward sublayer, so the result is
-    [b-a x d]. `mask`, `cache` and `rows` are as in tensor.attention.
+    [b-a x d]. `block` maps the names of _BLOCK_TENSORS to the layer's
+    tensors; `mask`, `cache` and `rows` are as in tensor.attention.
     """
-    qkv = matmul(layer_norm(x, block.ln1_gamma, block.ln1_beta, LN_EPS), block.attn_qkv)
+    qkv = matmul(layer_norm(x, block["ln1.weight"], block["ln1.bias"], LN_EPS),
+                 block["attn_qkv.weight"])
     if rows is not None:
         x = slice_rows(x, *rows)
-    h = add(matmul(attention(qkv, mask, n_heads, cache, rows), block.attn_out), x)
-    hidden = layer_norm(h, block.ln2_gamma, block.ln2_beta, LN_EPS)
-    hidden = _ACTIVATIONS[activation](add(matmul(hidden, block.ffn_w1), block.ffn_b1))
-    return add(add(matmul(hidden, block.ffn_w2), block.ffn_b2), h)
+    h = add(matmul(attention(qkv, mask, n_heads, cache, rows), block["attn_out.weight"]), x)
+    hidden = layer_norm(h, block["ln2.weight"], block["ln2.bias"], LN_EPS)
+    hidden = add(matmul(hidden, block["ffn_w1.weight"]), block["ffn_b1.bias"])
+    hidden = _ACTIVATIONS[activation](hidden)
+    return add(add(matmul(hidden, block["ffn_w2.weight"]), block["ffn_b2.bias"]), h)
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +242,15 @@ class Model:
                 f"sequence of {stop} tokens exceeds max_positions "
                 f"{self.config.max_positions}"
             )
-        tok = embedding_rows(self.params.embed_token, token_ids)
-        pos = slice_rows(self.params.embed_pos, start, stop)
+        tok = embedding_rows(self.params["embed_token"], token_ids)
+        pos = slice_rows(self.params["embed_pos"], start, stop)
         return add(tok, pos)
 
     def _head(self, x: Tensor) -> Tensor:
         """Final layer norm, then the LM head tied to the token embedding."""
-        x = layer_norm(x, self.params.final_ln_gamma, self.params.final_ln_beta, LN_EPS)
-        return matmul(x, transpose(self.params.embed_token))
+        p = self.params
+        x = layer_norm(x, p["final_ln.gamma"], p["final_ln.beta"], LN_EPS)
+        return matmul(x, transpose(p["embed_token"]))
 
     def forward(self, token_ids, mask: np.ndarray) -> Tensor:
         """Next-token logits [T x vocab_size] under the given attention mask."""
@@ -282,12 +270,13 @@ class Model:
         start = 0 if cache is None else cache.length
         x = self.embed(token_ids, start)
         last = self.config.n_layers - 1
-        for layer, block in enumerate(self.params.blocks):
+        for layer in range(self.config.n_layers):
             kv = None if cache is None else (cache.keys[layer], cache.values[layer], start)
             cut = rows if layer == last else None
             if cut is not None and mask is not None:
                 mask = mask[cut[0]:cut[1]]
-            x = block_forward(x, mask, block, self.config.n_heads, self.config.activation, kv, cut)
+            x = block_forward(x, mask, self.params.block(layer), self.config.n_heads,
+                              self.config.activation, kv, cut)
         return x
 
     def prefill(self, token_ids, m: int):
@@ -298,7 +287,7 @@ class Model:
         uninitialized: rows that decoding never reaches are never touched.
         """
         mask = build_prefix_mask(m, len(token_ids) - m)
-        dtype = self.params.embed_token.dtype
+        dtype = self.params["embed_token"].dtype
         c = self.config
         shape = (c.n_layers, c.n_heads, c.max_positions, c.d_k)
         cache = KVCache(np.empty(shape, dtype), np.empty(shape, dtype))
@@ -328,7 +317,7 @@ def param_spec(config: ModelConfig):
     yield "embed_token", (config.vocab_size, d), "normal"
     yield "embed_pos", (config.max_positions, d), "normal"
     for i in range(config.n_layers):
-        for _, name, shape, init in _BLOCK_TENSORS:
+        for name, shape, init in _BLOCK_TENSORS:
             yield f"block{i}.{name}", shape(d, h), init
     yield "final_ln.gamma", (d,), "ones"
     yield "final_ln.beta", (d,), "zeros"
@@ -336,13 +325,10 @@ def param_spec(config: ModelConfig):
 
 def _build_params(config: ModelConfig, arrays, dtype) -> ModelParams:
     """ModelParams from arrays given in param_spec order."""
-    leaves = (Tensor(a, requires_grad=True, dtype=dtype) for a in arrays)
-    params = ModelParams(embed_token=next(leaves), embed_pos=next(leaves))
-    for _ in range(config.n_layers):
-        params.blocks.append(BlockParams(**{row[0]: next(leaves) for row in _BLOCK_TENSORS}))
-    params.final_ln_gamma = next(leaves)
-    params.final_ln_beta = next(leaves)
-    return params
+    names = (name for name, _, _ in param_spec(config))
+    return ModelParams(
+        (name, Tensor(a, requires_grad=True, dtype=dtype)) for name, a in zip(names, arrays)
+    )
 
 
 def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:

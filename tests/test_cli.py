@@ -1,4 +1,9 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +117,18 @@ def test_preprocess_conclusions_section_is_usage_error(tmp_path, corpus_file, ca
     assert "CONCLUSIONS" in capsys.readouterr().err
 
 
+def test_preprocess_empty_corpus_bad_section_exit_2(tmp_path, capsys):
+    # the sections are checked even when no abstract reaches them
+    empty = tmp_path / "empty.txt"
+    empty.write_text("", encoding="utf-8")
+    out = tmp_path / "x.jsonl"
+    code = main(["preprocess", "--corpus", str(empty), "--sections", "bogus",
+                 "--out", str(out)])
+    assert code == 2
+    assert "unknown section 'BOGUS'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_preprocess_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("###1\nFOO\ttext\n", encoding="utf-8")
@@ -158,6 +175,21 @@ def test_bad_generated_line_exit_2(tmp_path, corpus_file, capsys, line):
     assert main(["score", "--generated", str(gen), "--references", str(examples),
                  "--out", str(tmp_path / "r.txt")]) == 2
     assert f"{gen}:1: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_hints", ["-2", "true"])
+def test_generated_n_hints_not_a_count_exit_2(tmp_path, corpus_file, capsys, n_hints):
+    # a bool passes isinstance(int), and a negative count strips no words
+    _, examples = _preprocess(tmp_path, corpus_file)
+    gen = tmp_path / "gen.jsonl"
+    gen.write_text('{"pmid": "100", "n_hints": 0, "output": "a"}\n'
+                   f'{{"pmid": "200", "n_hints": {n_hints}, "output": "b"}}\n',
+                   encoding="utf-8")
+    out = tmp_path / "r.txt"
+    assert main(["score", "--generated", str(gen), "--references", str(examples),
+                 "--out", str(out)]) == 2
+    assert f"{gen}:2: bad line: 'n_hints' must be a count >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("row, problem", [
@@ -397,6 +429,39 @@ def test_finetune_resumes_from_checkpoint(tmp_path, corpus_file, capsys):
     out = capsys.readouterr().out
     assert "step 3/4" in out and "step 1/4" not in out
     assert (tmp_path / "ck.bin").read_bytes() != first
+
+
+def test_finetune_killed_then_rerun_matches_uninterrupted(tmp_path, corpus_file, capsys):
+    # SIGKILL lands after a step past the first checkpoint (step 2), so the
+    # rerun resumes from a checkpoint with loss rows logged beyond it
+    _, examples = _preprocess(tmp_path, corpus_file)
+    _, vocab, merges = _train_tokenizer(tmp_path, examples)
+    steps = 60
+    cfg = _write_config(tmp_path, examples, vocab, merges, steps=steps)
+    _set_key(cfg, "checkpoint_every", 2)
+    outputs = {}
+    for run_name in ("straight", "killed"):
+        run = tmp_path / run_name
+        _set_key(cfg, "checkpoint_path", run / "ck.bin")
+        _set_key(cfg, "loss_log", run / "loss.csv")
+        if run_name == "killed":
+            src = str(Path(__file__).resolve().parent.parent / "src")
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+                [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+            proc = subprocess.Popen(
+                [sys.executable, "-u", "-m", "prefixlm.cli", "finetune", "--config", str(cfg)],
+                stdout=subprocess.PIPE, text=True, env=env)
+            for line in proc.stdout:
+                if line.startswith("step 3/"):
+                    proc.send_signal(signal.SIGKILL)
+                    break
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == -signal.SIGKILL
+            logged = (run / "loss.csv").read_text().splitlines()
+            assert (run / "ck.bin").exists() and 4 <= len(logged) <= steps
+        assert main(["finetune", "--config", str(cfg)]) == 0
+        outputs[run_name] = [(run / name).read_bytes() for name in ("ck.bin", "loss.csv")]
+    assert outputs["killed"] == outputs["straight"]
 
 
 def test_finetune_refuses_to_resume_past_steps(tmp_path, corpus_file, capsys):

@@ -158,6 +158,11 @@ def test_to_conclusion_task_rejects_unknown_section():
         to_conclusion_task(_abstracts()[0], ("INTRO",))
 
 
+def test_build_examples_checks_sections_without_abstracts():
+    with pytest.raises(ValueError, match="INTRO"):
+        build_examples([], ("INTRO",))
+
+
 def test_build_examples_reports_skips():
     abstracts = _abstracts() + [RctAbstract("x", [("METHODS", "m .")])]
     examples, skipped = build_examples(abstracts, SECTIONS)

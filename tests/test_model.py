@@ -11,7 +11,6 @@ from oracles import finite_difference_grads, grad_error
 
 from prefixlm.finetune import load_model_weights
 from prefixlm.model import (
-    BlockParams,
     Model,
     ModelConfig,
     WeightFileError,
@@ -111,8 +110,8 @@ def test_mask_invariants(mask):
 
 def test_embed_zero_tables():
     params = init_params(TINY, 0)
-    params.embed_token.data[:] = 0
-    params.embed_pos.data[:] = 0
+    params["embed_token"].data[:] = 0
+    params["embed_pos"].data[:] = 0
     out = Model(TINY, params).embed([1, 2, 3])
     np.testing.assert_array_equal(out.data, np.zeros((3, 8)))
 
@@ -120,14 +119,14 @@ def test_embed_zero_tables():
 def test_embed_is_token_plus_position():
     m = tiny_model()
     out = m.embed([7])
-    expected = m.params.embed_token.data[7] + m.params.embed_pos.data[0]
+    expected = m.params["embed_token"].data[7] + m.params["embed_pos"].data[0]
     np.testing.assert_array_equal(out.data[0], expected)
 
 
 def test_embed_position_difference():
     m = tiny_model()
     out = m.embed([5, 5])
-    diff = m.params.embed_pos.data[1] - m.params.embed_pos.data[0]
+    diff = m.params["embed_pos"].data[1] - m.params["embed_pos"].data[0]
     np.testing.assert_allclose(out.data[1] - out.data[0], diff, atol=1e-6)
 
 
@@ -178,23 +177,24 @@ def test_attention_fully_masked_row():
 
 def _identity_block(d, d_ff=4):
     eye = np.eye(d)
-    return BlockParams(
-        ln1_gamma=Tensor(np.ones(d)),
-        ln1_beta=Tensor(np.zeros(d)),
-        attn_qkv=Tensor(np.concatenate([eye, eye, eye], axis=1)),
-        attn_out=Tensor(eye),
-        ln2_gamma=Tensor(np.ones(d)),
-        ln2_beta=Tensor(np.zeros(d)),
-        ffn_w1=Tensor(np.zeros((d, d_ff))),
-        ffn_b1=Tensor(np.zeros(d_ff)),
-        ffn_w2=Tensor(np.zeros((d_ff, d))),
-        ffn_b2=Tensor(np.zeros(d)),
-    )
+    return {
+        "ln1.weight": Tensor(np.ones(d)),
+        "ln1.bias": Tensor(np.zeros(d)),
+        "attn_qkv.weight": Tensor(np.concatenate([eye, eye, eye], axis=1)),
+        "attn_out.weight": Tensor(eye),
+        "ln2.weight": Tensor(np.ones(d)),
+        "ln2.bias": Tensor(np.zeros(d)),
+        "ffn_w1.weight": Tensor(np.zeros((d, d_ff))),
+        "ffn_b1.bias": Tensor(np.zeros(d_ff)),
+        "ffn_w2.weight": Tensor(np.zeros((d_ff, d))),
+        "ffn_b2.bias": Tensor(np.zeros(d)),
+    }
 
 
 def _self_attention(x, mask, block, n_heads):
     """A block's attention sublayer: fused projection, attention, output projection."""
-    return matmul(attention(matmul(x, block.attn_qkv), mask, n_heads), block.attn_out)
+    qkv = matmul(x, block["attn_qkv.weight"])
+    return matmul(attention(qkv, mask, n_heads), block["attn_out.weight"])
 
 
 def test_mhsa_identity_projections_single_position():
@@ -209,8 +209,8 @@ def test_mhsa_deterministic():
     params = init_params(TINY, 3)
     x = Tensor(rng.normal(size=(4, 8)).astype(np.float32))
     mask = build_causal_mask(4)
-    a = _self_attention(x, mask, params.blocks[0], 2).data
-    b = _self_attention(x, mask, params.blocks[0], 2).data
+    a = _self_attention(x, mask, params.block(0), 2).data
+    b = _self_attention(x, mask, params.block(0), 2).data
     np.testing.assert_array_equal(a, b)
 
 
@@ -239,8 +239,8 @@ def test_mhsa_two_heads_match_hand_assembly():
     expected = np.concatenate(parts, axis=1) @ w_out
 
     block = _identity_block(d)
-    block.attn_qkv = Tensor(w_qkv, dtype=np.float64)
-    block.attn_out = Tensor(w_out, dtype=np.float64)
+    block["attn_qkv.weight"] = Tensor(w_qkv, dtype=np.float64)
+    block["attn_out.weight"] = Tensor(w_out, dtype=np.float64)
     out = _self_attention(Tensor(x, dtype=np.float64), mask, block, heads)
     np.testing.assert_allclose(out.data, expected, atol=1e-10)
 
@@ -254,13 +254,13 @@ def _feed_forward_block(d, d_ff):
     """_identity_block with its attention output zeroed: block_forward then
     returns x plus its feed-forward sublayer of layer_norm(x)."""
     block = _identity_block(d, d_ff)
-    block.attn_out = Tensor(np.zeros((d, d)))
+    block["attn_out.weight"] = Tensor(np.zeros((d, d)))
     return block
 
 
 def test_ffn_constant_bias():
     block = _feed_forward_block(3, d_ff=4)
-    block.ffn_b2 = Tensor([1.0, 2.0, 3.0])
+    block["ffn_b2.bias"] = Tensor([1.0, 2.0, 3.0])
     x = np.random.default_rng(0).normal(size=(5, 3)).astype(np.float32)
     out = block_forward(Tensor(x), None, block, n_heads=1)
     np.testing.assert_allclose(out.data, x + np.tile([1.0, 2.0, 3.0], (5, 1)), atol=1e-7)
@@ -269,8 +269,8 @@ def test_ffn_constant_bias():
 def test_ffn_is_position_wise():
     rng = np.random.default_rng(5)
     block = _feed_forward_block(4, d_ff=6)
-    block.ffn_w1 = Tensor(rng.normal(size=(4, 6)))
-    block.ffn_w2 = Tensor(rng.normal(size=(6, 4)))
+    block["ffn_w1.weight"] = Tensor(rng.normal(size=(4, 6)))
+    block["ffn_w2.weight"] = Tensor(rng.normal(size=(6, 4)))
     x = rng.normal(size=(3, 4)).astype(np.float32)
     out = block_forward(Tensor(x), None, block, n_heads=1).data
     perm = [2, 0, 1]
@@ -280,9 +280,9 @@ def test_ffn_is_position_wise():
 
 def test_ffn_hand_case():
     block = _feed_forward_block(1, d_ff=2)
-    block.ffn_w1 = Tensor([[-2.0, 3.0]])
-    block.ffn_w2 = Tensor([[1.0], [1.0]])
-    block.ln2_beta = Tensor([1.0])  # a 1-wide layer norm outputs its beta: the input is 1
+    block["ffn_w1.weight"] = Tensor([[-2.0, 3.0]])
+    block["ffn_w2.weight"] = Tensor([[1.0], [1.0]])
+    block["ln2.bias"] = Tensor([1.0])  # a 1-wide layer norm outputs its beta: the input is 1
     out = block_forward(Tensor([[1.0]]), None, block, n_heads=1)
     np.testing.assert_allclose(out.data, [[1.0 + 3.0]], atol=1e-7)
 
@@ -290,13 +290,13 @@ def test_ffn_hand_case():
 def test_block_zero_weights_is_residual_passthrough():
     d = 4
     block = _identity_block(d)
-    block.attn_qkv = Tensor(np.zeros((d, 3 * d)))
-    block.attn_out = Tensor(np.zeros((d, d)))
+    block["attn_qkv.weight"] = Tensor(np.zeros((d, 3 * d)))
+    block["attn_out.weight"] = Tensor(np.zeros((d, d)))
     x = np.random.default_rng(6).normal(size=(3, d)).astype(np.float32)
     out = block_forward(Tensor(x), build_causal_mask(3), block, n_heads=2)
     np.testing.assert_array_equal(out.data, x)
     # a feed-forward output bias shifts every row by that constant
-    block.ffn_b2 = Tensor(np.full(d, 0.5, dtype=np.float32))
+    block["ffn_b2.bias"] = Tensor(np.full(d, 0.5, dtype=np.float32))
     out = block_forward(Tensor(x), build_causal_mask(3), block, n_heads=2)
     np.testing.assert_allclose(out.data, x + 0.5, atol=1e-7)
 
@@ -305,7 +305,7 @@ def test_block_preserves_shape():
     params = init_params(TINY, 7)
     for t in (1, 3, 6):
         x = Tensor(np.random.default_rng(t).normal(size=(t, 8)).astype(np.float32))
-        out = block_forward(x, build_causal_mask(t), params.blocks[0], 2)
+        out = block_forward(x, build_causal_mask(t), params.block(0), 2)
         assert out.shape == (t, 8)
 
 
@@ -325,13 +325,13 @@ def test_block_golden_straight_line_recompute():
         seed=42,
         dtype=np.float64,
     )
-    bp = params.blocks[0]
+    bp = params.block(0)
     x = rng.normal(size=(t, d))
     mask = build_causal_mask(t)
 
     # straight-line recompute with plain numpy
-    ln1 = _numpy_layer_norm(x, bp.ln1_gamma.data, bp.ln1_beta.data)
-    qkv = ln1 @ bp.attn_qkv.data
+    ln1 = _numpy_layer_norm(x, bp["ln1.weight"].data, bp["ln1.bias"].data)
+    qkv = ln1 @ bp["attn_qkv.weight"].data
     q, k, v = qkv[:, :d], qkv[:, d : 2 * d], qkv[:, 2 * d :]
     parts = []
     for i in range(heads):
@@ -339,10 +339,11 @@ def test_block_golden_straight_line_recompute():
         parts.append(
             _numpy_softmax(q[:, sl] @ k[:, sl].T / np.sqrt(d_k) + mask) @ v[:, sl]
         )
-    h = np.concatenate(parts, axis=1) @ bp.attn_out.data + x
-    ln2 = _numpy_layer_norm(h, bp.ln2_gamma.data, bp.ln2_beta.data)
-    golden = np.maximum(ln2 @ bp.ffn_w1.data + bp.ffn_b1.data, 0) @ bp.ffn_w2.data
-    golden = golden + bp.ffn_b2.data + h
+    h = np.concatenate(parts, axis=1) @ bp["attn_out.weight"].data + x
+    ln2 = _numpy_layer_norm(h, bp["ln2.weight"].data, bp["ln2.bias"].data)
+    hidden = np.maximum(ln2 @ bp["ffn_w1.weight"].data + bp["ffn_b1.bias"].data, 0)
+    golden = hidden @ bp["ffn_w2.weight"].data
+    golden = golden + bp["ffn_b2.bias"].data + h
 
     out = block_forward(Tensor(x, dtype=np.float64), mask, bp, heads)
     np.testing.assert_allclose(out.data, golden, atol=1e-12)
@@ -526,15 +527,16 @@ def test_init_same_seed_bit_identical():
 def test_init_different_seed_differs():
     a = init_params(TINY, seed=5)
     b = init_params(TINY, seed=6)
-    assert not np.array_equal(a.embed_token.data, b.embed_token.data)
+    assert not np.array_equal(a["embed_token"].data, b["embed_token"].data)
 
 
 def test_init_layer_norm_gammas_are_one():
     params = init_params(TINY, seed=1)
-    for block in params.blocks:
-        np.testing.assert_array_equal(block.ln1_gamma.data, np.ones(8))
-        np.testing.assert_array_equal(block.ln2_gamma.data, np.ones(8))
-    np.testing.assert_array_equal(params.final_ln_gamma.data, np.ones(8))
+    for i in range(TINY.n_layers):
+        block = params.block(i)
+        np.testing.assert_array_equal(block["ln1.weight"].data, np.ones(8))
+        np.testing.assert_array_equal(block["ln2.weight"].data, np.ones(8))
+    np.testing.assert_array_equal(params["final_ln.gamma"].data, np.ones(8))
 
 
 ONE_LAYER = ModelConfig(

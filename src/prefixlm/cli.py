@@ -162,19 +162,26 @@ def cmd_generate(args) -> int:
     gen_config = GenerationConfig(n_hints=args.n_hints,
                                   max_new_tokens=args.max_new_tokens)
 
-    rows = []
+    # an example that cannot be generated (too long for max_positions, fewer
+    # target words than hints) gets an empty output and its error, not the batch
+    rows, failed = [], 0
     for example in examples:
-        hints, _ = split_hint_words(example.target_text, args.n_hints)
-        text, _ = generate_greedy(model, example.source_text, hints,
-                                  gen_config, tokenizer)
-        rows.append({"pmid": example.pmid, "n_hints": args.n_hints, "output": text})
+        row = {"pmid": example.pmid, "n_hints": args.n_hints, "output": ""}
+        try:
+            hints, _ = split_hint_words(example.target_text, args.n_hints)
+            row["output"], _ = generate_greedy(model, example.source_text, hints,
+                                               gen_config, tokenizer)
+        except ValueError as e:
+            row["error"] = str(e)
+            failed += 1
+        rows.append(row)
 
     with open(args.out, "w", encoding="utf-8") as f:
         for row in rows:
             # ensure_ascii keeps the file valid even when an undertrained
             # model emits byte sequences that are not well-formed UTF-8
             f.write(json.dumps(row) + "\n")
-    print(f"generated {len(rows)} conclusions -> {args.out}")
+    print(f"generated {len(rows) - failed} conclusions ({failed} failed) -> {args.out}")
     _write_manifest(args.out, "generate",
                     {"examples": args.examples, "checkpoint": checkpoint,
                      "n_hints": args.n_hints},

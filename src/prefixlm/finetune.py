@@ -28,7 +28,7 @@ from .model import (
     read_tensor_map,
     write_tensor_map,
 )
-from .tensor import ComputationTape, backward, cross_entropy, scale
+from .tensor import ComputationTape, backward, cross_entropy
 
 __all__ = [
     "HINTLESS_PROMPT",
@@ -40,6 +40,8 @@ __all__ = [
     "prepare_example",
     "filter_long",
     "sgd_update",
+    "PACK_ROWS",
+    "pack_ranges",
     "training_step",
     "save_checkpoint",
     "load_checkpoint",
@@ -138,35 +140,60 @@ def sgd_update(params: ModelParams, state: OptimizerState):
         p.data -= state.lr * v
 
 
-def training_step(model: Model, batch, state: OptimizerState) -> float:
-    """One SGD step on a batch; returns the mean (unscaled) loss.
+# rows of one packed tape: short examples share a tape up to this many rows,
+# which amortizes per-op dispatch; a longer example runs alone
+PACK_ROWS = 256
 
-    Examples run sequentially; per-example gradients are averaged by
-    scaling each loss by 1/batch before backward, which keeps the update
-    identical to a single mean-gradient step.
+
+def pack_ranges(lengths):
+    """(first, stop) of each run of consecutive examples sharing one tape: an
+    example joins the current pack unless that would take it past PACK_ROWS
+    rows, and every pack takes at least one example."""
+    ranges, first, rows = [], 0, 0
+    for i, n in enumerate(lengths):
+        if i > first and rows + n > PACK_ROWS:
+            ranges.append((first, i))
+            first, rows = i, 0
+        rows += n
+    if lengths:
+        ranges.append((first, len(lengths)))
+    return ranges
+
+
+def training_step(model: Model, batch, state: OptimizerState) -> float:
+    """One SGD step on a batch; returns its mean loss.
+
+    The loss is the mean over examples of each example's mean over its target
+    tokens. Consecutive examples are packed into one tape under PACK_ROWS
+    rows (pack_ranges), side by side: each keeps its own prefix mask and
+    positions from 0, and scores only its target rows, each with weight
+    1/(batch * targets). A pack of one is an unpacked example.
     """
     batch = list(batch)
     if not batch:
         raise ValueError("training batch is empty")
     model.params.zero_grads()
-    inv = 1.0 / len(batch)
+    dtype = model.params["embed_token"].dtype
     total = 0.0
-    for ex in batch:
-        tokens = ex.tokens
-        t = len(tokens)
-        mask = build_prefix_mask(len(ex.source_ids), t - len(ex.source_ids))
-        first = t - len(ex.target_ids)
-        with ComputationTape():
+    for first, stop in pack_ranges([len(ex) for ex in batch]):
+        segments, targets, weights = [], [], []
+        for ex in batch[first:stop]:
+            t, n_src, n_tgt = len(ex), len(ex.source_ids), len(ex.target_ids)
             # target token j is scored by the logits at position j-1
-            logits = model.forward_rows(tokens, mask, (first - 1, t - 1))
-            loss = cross_entropy(logits, ex.target_ids)
-            backward(scale(loss, inv))
+            segments.append((ex.tokens, build_prefix_mask(n_src, t - n_src),
+                             (t - n_tgt - 1, t - 1)))
+            targets += ex.target_ids
+            weights.append(np.full(n_tgt, 1.0 / len(batch), dtype=dtype) / n_tgt)
+        with ComputationTape():
+            logits = model.forward_rows(segments)
+            loss = cross_entropy(logits, targets, np.concatenate(weights))
+            backward(loss)
         value = loss.item()
         if not np.isfinite(value):
             raise FloatingPointError("non-finite training loss")
         total += value
     sgd_update(model.params, state)
-    return total * inv
+    return total
 
 
 # ---------------------------------------------------------------------------

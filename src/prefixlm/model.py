@@ -9,12 +9,14 @@ Training and decoding use the prefix mask (bidirectional source, causal
 target); the causal mask is the plain language-model case.
 One forward, Model.forward_rows (a layer loop over block_forward, whose
 attention is the fused tensor.attention op), serves training and
-incremental decoding. It returns logits for a range of rows only: the last
-block needs keys and values from every row, but its queries, output
-projection, residuals, feed-forward sublayer, the final layer norm and the
-head run on that range alone. Training asks for the rows that predict the
-target tokens, decoding for the last row; Model.forward is the all-rows
-form. Model.prefill and Model.step also pass each layer's slice of a
+incremental decoding. It takes one or more sequences packed side by side,
+each attending only within itself from position 0, and returns logits for
+a range of each sequence's rows only: the last block needs keys and values
+from every row, but its queries, output projection, residuals,
+feed-forward sublayer, the final layer norm and the head run on those
+ranges alone. Training asks for the rows that predict the target tokens,
+decoding for the last row; Model.forward is the all-rows form of one
+sequence. Model.prefill and Model.step also pass each layer's slice of a
 key/value cache, so new rows attend over the cached positions too.
 """
 
@@ -38,6 +40,7 @@ from .tensor import (
     gelu,
     layer_norm,
     matmul,
+    query_ranges,
     relu,
     slice_rows,
     transpose,
@@ -179,26 +182,25 @@ def build_prefix_mask(m: int, n: int) -> np.ndarray:
 
 def block_forward(
     x: Tensor,
-    mask: np.ndarray | None,
+    segments,
     block,
     n_heads: int,
     activation: str = "relu",
     cache=None,
-    rows=None,
 ) -> Tensor:
     """Pre-LN residual block: attention sublayer, then feed-forward sublayer.
 
-    Every row of x feeds the keys and values; only the rows `rows` = (a, b),
-    all rows when None, are carried on through the queries, the output
-    projection, the residuals and the feed-forward sublayer, so the result is
-    [b-a x d]. `block` maps the names of _BLOCK_TENSORS to the layer's
-    tensors; `mask`, `cache` and `rows` are as in tensor.attention.
+    The rows of x hold the sequences `segments`, as in tensor.attention. Every
+    row feeds the keys and values; only each segment's query rows are carried
+    on through the output projection, the residuals and the feed-forward
+    sublayer, so the result stacks those rows. `block` maps the names of
+    _BLOCK_TENSORS to the layer's tensors; `cache` is as in tensor.attention.
     """
     qkv = matmul(layer_norm(x, block["ln1.weight"], block["ln1.bias"], LN_EPS),
                  block["attn_qkv.weight"])
-    if rows is not None:
-        x = slice_rows(x, *rows)
-    h = add(matmul(attention(qkv, mask, n_heads, cache, rows), block["attn_out.weight"]), x)
+    if any(rows is not None for _, _, rows in segments):
+        x = slice_rows(x, query_ranges(segments))
+    h = add(matmul(attention(qkv, segments, n_heads, cache), block["attn_out.weight"]), x)
     hidden = layer_norm(h, block["ln2.weight"], block["ln2.bias"], LN_EPS)
     hidden = add(matmul(hidden, block["ffn_w1.weight"]), block["ffn_b1.bias"])
     hidden = _ACTIVATIONS[activation](hidden)
@@ -231,20 +233,22 @@ class Model:
         self.config = config
         self.params = params
 
-    def embed(self, token_ids, start: int = 0) -> Tensor:
-        """Token plus position embeddings of tokens at positions start onward;
-        the one check of a sequence against max_positions, made before any op
-        runs or any cache row is written."""
+    def embed(self, token_ids, positions=None) -> Tensor:
+        """Token plus position embeddings. `positions` gives the (start, stop)
+        positions of each sequence packed in token_ids, in order, and is
+        [(0, len(token_ids))] when None. The one check of a sequence against
+        max_positions, made before any op runs or any cache row is written."""
         token_ids = np.asarray(token_ids, dtype=np.int64)
-        stop = start + token_ids.shape[0]
-        if stop > self.config.max_positions:
-            raise ValueError(
-                f"sequence of {stop} tokens exceeds max_positions "
-                f"{self.config.max_positions}"
-            )
+        if positions is None:
+            positions = [(0, token_ids.shape[0])]
+        for _, stop in positions:
+            if stop > self.config.max_positions:
+                raise ValueError(
+                    f"sequence of {stop} tokens exceeds max_positions "
+                    f"{self.config.max_positions}"
+                )
         tok = embedding_rows(self.params["embed_token"], token_ids)
-        pos = slice_rows(self.params["embed_pos"], start, stop)
-        return add(tok, pos)
+        return add(tok, slice_rows(self.params["embed_pos"], positions))
 
     def _head(self, x: Tensor) -> Tensor:
         """Final layer norm, then the LM head tied to the token embedding."""
@@ -254,29 +258,34 @@ class Model:
 
     def forward(self, token_ids, mask: np.ndarray) -> Tensor:
         """Next-token logits [T x vocab_size] under the given attention mask."""
-        return self.forward_rows(token_ids, mask, None)
+        return self.forward_rows([(token_ids, mask, None)])
 
-    def forward_rows(self, token_ids, mask, rows, cache: KVCache | None = None) -> Tensor:
-        """Next-token logits [b-a x vocab_size] of the rows `rows` = (a, b),
-        or of every row when rows is None. `mask` covers every row; `cache`
-        is as in _blocks. Only the last block and the head work on the rows."""
-        return self._head(self._blocks(token_ids, mask, cache, rows))
+    def forward_rows(self, segments, cache: KVCache | None = None) -> Tensor:
+        """Next-token logits of the sequences `segments` = [(token_ids, mask,
+        rows), ...], packed side by side: each starts at position 0, attends
+        only within itself under its [T x T] mask, and gives the logits of its
+        rows `rows` = (a, b), or of every row when rows is None, stacked in
+        order. `cache` is as in _blocks. Only the last block and the head work
+        on the rows."""
+        return self._head(self._blocks(segments, cache))
 
-    def _blocks(self, token_ids, mask, cache: KVCache | None = None, rows=None) -> Tensor:
-        """The last block's output for the tokens, at the rows `rows` (all
-        when None). With a cache they sit at positions cache.length onward
-        and each layer writes their keys and values into its slice of the
-        cache (cache.length is left as it was)."""
+    def _blocks(self, segments, cache: KVCache | None = None) -> Tensor:
+        """The last block's output for the sequences of forward_rows, at their
+        rows. With a cache there is one sequence, at positions cache.length
+        onward, and each layer writes its keys and values into its slice of
+        the cache (cache.length is left as it was)."""
         start = 0 if cache is None else cache.length
-        x = self.embed(token_ids, start)
+        lengths = [len(ids) for ids, _, _ in segments]
+        x = self.embed(np.concatenate([np.asarray(ids, dtype=np.int64) for ids, _, _ in segments]),
+                       [(start, start + n) for n in lengths])
+        every = [(n, mask, None) for n, (_, mask, _) in zip(lengths, segments)]
+        cut = [(n, mask if rows is None or mask is None else mask[rows[0]:rows[1]], rows)
+               for n, (_, mask, rows) in zip(lengths, segments)]
         last = self.config.n_layers - 1
         for layer in range(self.config.n_layers):
             kv = None if cache is None else (cache.keys[layer], cache.values[layer], start)
-            cut = rows if layer == last else None
-            if cut is not None and mask is not None:
-                mask = mask[cut[0]:cut[1]]
-            x = block_forward(x, mask, self.params.block(layer), self.config.n_heads,
-                              self.config.activation, kv, cut)
+            x = block_forward(x, cut if layer == last else every, self.params.block(layer),
+                              self.config.n_heads, self.config.activation, kv)
         return x
 
     def prefill(self, token_ids, m: int):
@@ -301,7 +310,7 @@ class Model:
         if active_tape() is not None:
             raise GraphError("incremental decoding runs outside any tape")
         t = len(token_ids)
-        logits = self.forward_rows(token_ids, mask, (t - 1, t), cache)
+        logits = self.forward_rows([(token_ids, mask, (t - 1, t))], cache)
         cache.length += t
         return logits.data[0]
 

@@ -21,10 +21,10 @@ __all__ = [
     "matmul",
     "transpose",
     "add",
-    "scale",
     "relu",
     "gelu",
     "attention",
+    "query_ranges",
     "layer_norm",
     "cross_entropy",
     "embedding_rows",
@@ -225,15 +225,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _wrap(a.data + b.data, (a, b), bw)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def bw(g):
-        _accumulate(a, g * c)
-
-    return _wrap(a.data * np.asarray(c, dtype=a.dtype), (a,), bw)
-
-
 # ---------------------------------------------------------------------------
 # activations and normalization
 # ---------------------------------------------------------------------------
@@ -305,43 +296,40 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _wrap(xhat * gamma.data + beta.data, (x, gamma, beta), bw)
 
 
-def cross_entropy(logits: Tensor, targets, loss_mask=None) -> Tensor:
-    """Mean negative log-likelihood over the selected positions.
+def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
+    """Weighted negative log-likelihood: the sum over rows of the row's
+    weight times -log softmax(row)[target].
 
-    `targets` holds one class id per row of `logits`; positions where
-    `loss_mask` is False are excluded from the mean. Raises when every
-    position is excluded.
+    `targets` holds one class id per row of `logits` and `weights` one weight
+    per row, 1/rows each (the mean) when None; a row of weight 0 is left out.
     """
     if logits.ndim != 2:
         raise ShapeError(f"cross_entropy needs 2-d logits, got {logits.shape}")
     t, v = logits.shape
+    if t == 0:
+        raise ValueError("cross_entropy: no rows to score")
     targets = np.asarray(targets, dtype=np.int64)
     if targets.shape != (t,):
         raise ShapeError(f"targets must have shape ({t},), got {targets.shape}")
-    if loss_mask is None:
-        mask = np.ones(t, dtype=bool)
+    if weights is None:
+        weights = np.ones(t, dtype=logits.dtype) / t
     else:
-        mask = np.asarray(loss_mask, dtype=bool)
-        if mask.shape != (t,):
-            raise ShapeError(f"loss_mask must have shape ({t},), got {mask.shape}")
-    n = int(mask.sum())
-    if n == 0:
-        raise ValueError("cross_entropy: every position is masked out")
-    sel = targets[mask]
-    if sel.min(initial=0) < 0 or (sel.size and sel.max() >= v):
+        weights = np.asarray(weights, dtype=logits.dtype)
+        if weights.shape != (t,):
+            raise ShapeError(f"weights must have shape ({t},), got {weights.shape}")
+    if targets.min() < 0 or targets.max() >= v:
         raise ValueError("cross_entropy: target id out of vocabulary range")
 
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - lse
-    rows = np.nonzero(mask)[0]
-    loss = -logp[rows, targets[rows]].sum() / n
+    rows = np.arange(t)
+    loss = -(weights * logp[rows, targets]).sum()
 
     def bw(g):
         d = np.exp(logp)
-        d[~mask] = 0.0
-        d[rows, targets[rows]] -= 1.0
-        d *= g / n
+        d[rows, targets] -= 1.0
+        d *= (weights * g)[:, None]
         _accumulate(logits, d)
 
     return _wrap(np.asarray(loss, dtype=logits.dtype), (logits,), bw)
@@ -357,64 +345,92 @@ def _split_heads(qkv: np.ndarray, n_heads: int) -> np.ndarray:
     return qkv.reshape(qkv.shape[0], 3, n_heads, -1).transpose(1, 2, 0, 3)
 
 
-def attention(
-    qkv: Tensor, mask: np.ndarray | None, n_heads: int, cache=None, rows=None
-) -> Tensor:
+def query_ranges(segments):
+    """(first, stop) of each segment's query rows among the packed rows."""
+    ranges, offset = [], 0
+    for n, _, rows in segments:
+        a, b = (0, n) if rows is None else rows
+        ranges.append((offset + a, offset + b))
+        offset += n
+    return ranges
+
+
+def attention(qkv: Tensor, segments, n_heads: int, cache=None) -> Tensor:
     """Multi-head self-attention of a fused [t x 3*d] query|key|value
     projection: softmax(q k^T / sqrt(d_k) + mask) v per head, the result with
     the heads side by side.
 
-    Queries come from the rows `rows` = (a, b) of the projection, all t rows
-    when None, and the result is [b-a x d]. Keys and values come from every
-    row. Without a cache the queries attend over those t rows, s = t of them.
-    `cache` is one layer's (keys, values, start), with keys and values
-    [H x positions x d_k] arrays: the t rows sit at positions start onward,
-    their keys and values are written there, and the queries attend over the
-    s = start + t positions up to the last row. `mask` is 0/-inf [b-a x s],
-    or None when every position is visible. Cached calls are for decoding,
-    off the tape. The backward keeps only the softmax weights besides its
-    operand, and its query gradient is zero outside the query rows.
+    The t rows hold one or more sequences side by side, `segments` =
+    [(n, mask, rows), ...] in row order with the n summing to t, and each
+    attends over its own rows only, in a softmax of its own. Queries come
+    from the segment's rows `rows` = (a, b), all n when None; keys and values
+    from every row of the segment. The result stacks each segment's [b-a x d]
+    query rows in order. Without a cache a segment attends over its s = n
+    rows. `cache` is one layer's (keys, values, start), for a single segment,
+    with keys and values [H x positions x d_k] arrays: the n rows sit at
+    positions start onward, their keys and values are written there, and the
+    queries attend over the s = start + n positions up to the last row.
+    `mask` is 0/-inf [b-a x s], or None when every position is visible.
+    Cached calls are for decoding, off the tape. The backward keeps only the
+    softmax weights besides its operand, and its query gradient is zero
+    outside the query rows.
     """
     if qkv.ndim != 2 or qkv.shape[1] % (3 * n_heads):
         raise ShapeError(f"attention needs [t x 3*d] with {n_heads} heads, got {qkv.shape}")
     t = qkv.shape[0]
-    a, b = (0, t) if rows is None else rows
-    if not 0 <= a < b <= t:
-        raise ShapeError(f"query rows [{a}:{b}] out of range for {t} rows")
-    s = t if cache is None else cache[2] + t
-    if mask is not None and np.shape(mask) != (b - a, s):
-        raise ShapeError(f"mask must be ({b - a}, {s}), got {np.shape(mask)}")
+    if not segments or sum(n for n, _, _ in segments) != t:
+        raise ShapeError(f"segment lengths {[n for n, _, _ in segments]} "
+                         f"do not add up to {t} rows")
+    if cache is not None and len(segments) != 1:
+        raise ShapeError("a cached attention call takes one segment")
     q, k, v = _split_heads(qkv.data, n_heads)
-    q = q[:, a:b]
-    if cache is not None:
-        keys, values, start = cache
-        keys[:, start:s], values[:, start:s] = k, v
-        k, v = keys[:, :s], values[:, :s]
     c = 1.0 / math.sqrt(q.shape[2])
-    scores = np.matmul(q, k.transpose(0, 2, 1))
-    scores *= np.asarray(c, dtype=scores.dtype)
-    if mask is not None:
-        scores += np.asarray(mask, dtype=scores.dtype)
-    w = _softmax(scores)
-    heads = np.matmul(w, v).transpose(1, 0, 2).reshape(b - a, -1)
+    parts, heads, offset, cut = [], [], 0, False
+    for n, mask, rows in segments:
+        a, b = (0, n) if rows is None else rows
+        if not 0 <= a < b <= n:
+            raise ShapeError(f"query rows [{a}:{b}] out of range for {n} rows")
+        cut = cut or rows is not None
+        a, b = offset + a, offset + b
+        s = n if cache is None else cache[2] + n
+        if mask is not None and np.shape(mask) != (b - a, s):
+            raise ShapeError(f"mask must be ({b - a}, {s}), got {np.shape(mask)}")
+        ks, vs = k[:, offset:offset + n], v[:, offset:offset + n]
+        if cache is not None:
+            keys, values, start = cache
+            keys[:, start:s], values[:, start:s] = ks, vs
+            ks, vs = keys[:, :s], values[:, :s]
+        qs = q[:, a:b]
+        scores = np.matmul(qs, ks.transpose(0, 2, 1))
+        scores *= np.asarray(c, dtype=scores.dtype)
+        if mask is not None:
+            scores += np.asarray(mask, dtype=scores.dtype)
+        w = _softmax(scores)
+        heads.append(np.matmul(w, vs).transpose(1, 0, 2).reshape(b - a, -1))
+        parts.append((offset, n, a, b, qs, ks, vs, w))
+        offset += n
 
     def bw(g):
-        g = g.reshape(b - a, n_heads, -1).transpose(1, 0, 2)  # [H, b-a, d_k]
-        dw = np.matmul(g, v.transpose(0, 2, 1))
-        # ds = w * (dw - rowsum(dw * w)) * c, in place: fresh [H, b-a, T] buffers page-fault
-        ds = dw
-        ds -= (dw * w).sum(axis=-1, keepdims=True)
-        ds *= w
-        ds *= c
         grad = np.empty_like(qkv.data)
         dq, dk, dv = _split_heads(grad, n_heads)
-        dq[:, :a], dq[:, b:] = 0, 0
-        dq[:, a:b] = np.matmul(ds, k)
-        dk[...] = np.matmul(q.transpose(0, 2, 1), ds).transpose(0, 2, 1)
-        dv[...] = np.matmul(w.transpose(0, 2, 1), g)
+        if cut:
+            dq[...] = 0
+        r = 0
+        for offset, n, a, b, qs, ks, vs, w in parts:
+            gs = g[r:r + b - a].reshape(b - a, n_heads, -1).transpose(1, 0, 2)  # [H, b-a, d_k]
+            r += b - a
+            dw = np.matmul(gs, vs.transpose(0, 2, 1))
+            # ds = w * (dw - rowsum(dw * w)) * c, in place: fresh [H, b-a, n] buffers page-fault
+            ds = dw
+            ds -= (dw * w).sum(axis=-1, keepdims=True)
+            ds *= w
+            ds *= c
+            dq[:, a:b] = np.matmul(ds, ks)
+            dk[:, offset:offset + n] = np.matmul(qs.transpose(0, 2, 1), ds).transpose(0, 2, 1)
+            dv[:, offset:offset + n] = np.matmul(w.transpose(0, 2, 1), gs)
         _accumulate(qkv, grad)
 
-    return _wrap(heads, (qkv,), bw)
+    return _wrap(heads[0] if len(heads) == 1 else np.concatenate(heads), (qkv,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +452,20 @@ def embedding_rows(table: Tensor, ids) -> Tensor:
     return _wrap(table.data[ids], (table,), bw)
 
 
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    if not (0 <= start <= stop <= x.shape[0]):
-        raise ShapeError(f"row slice [{start}:{stop}] out of range for {x.shape}")
+def slice_rows(x: Tensor, ranges) -> Tensor:
+    """The rows of each (start, stop) range of `ranges`, stacked in order.
+    Ranges may overlap; gradients add back into every row they took."""
+    ranges = list(ranges)
+    for start, stop in ranges:
+        if not (0 <= start <= stop <= x.shape[0]):
+            raise ShapeError(f"row slice [{start}:{stop}] out of range for {x.shape}")
 
     def bw(g):
-        _accumulate(x, g, slice(start, stop))
+        offset = 0
+        for start, stop in ranges:
+            _accumulate(x, g[offset:offset + stop - start], slice(start, stop))
+            offset += stop - start
 
-    return _wrap(x.data[start:stop].copy(), (x,), bw)
+    parts = [x.data[start:stop] for start, stop in ranges]
+    data = parts[0].copy() if len(parts) == 1 else np.concatenate(parts)
+    return _wrap(data, (x,), bw)

@@ -4,10 +4,11 @@ Nothing in here touches the library's dynamic programming or its tokenizer,
 and only reference_attention, reference_masked_loss and reference_step
 touch its backward pass (through tape ops that are gradchecked on their
 own); these exist so the tests can check the fast paths against slow,
-obviously-correct computations. The tape ops mul, sum_all and softmax_rows
-live here, not in the library, which never calls them: they are gradcheck
-instruments and reference_attention's softmax, recorded on the library's
-tape through its _wrap and _accumulate.
+obviously-correct computations. The tape ops mul, scale, sum_all and
+softmax_rows live here, not in the library, which never calls them: they
+are gradcheck instruments and reference_attention's and reference_step's
+scaling and softmax, recorded on the library's tape through its _wrap and
+_accumulate.
 """
 
 import unicodedata
@@ -26,7 +27,6 @@ from prefixlm.tensor import (
     backward,
     cross_entropy,
     matmul,
-    scale,
     slice_rows,
     transpose,
 )
@@ -42,6 +42,16 @@ def mul(a, b):
         _accumulate(b, g * a.data)
 
     return _wrap(a.data * b.data, (a, b), bw)
+
+
+def scale(a, c):
+    """a times the constant c."""
+    c = float(c)
+
+    def bw(g):
+        _accumulate(a, g * c)
+
+    return _wrap(a.data * np.asarray(c, dtype=a.dtype), (a,), bw)
 
 
 def sum_all(a):
@@ -227,30 +237,32 @@ def reference_attention(qkv, mask, n_heads):
 
 
 def reference_masked_loss(model, example):
-    """The per-example loss as every logits row scored under a per-token
-    mask, the slow path that scoring only the target slice replaces.
+    """The per-example loss as every logits row scored under a per-row
+    weight, the slow path that scoring only the target slice replaces.
 
-    Row j-1 predicts token j; the mask is True exactly on the target ids.
-    Runs backward as training_step does for a batch of one (the loss scaled
-    by 1/1), so model.params hold the loss's gradients (added to whatever
-    they held); returns the loss value.
+    Row j-1 predicts token j; the weight is 1/targets exactly on the target
+    ids and 0 elsewhere. Runs backward as training_step does for a batch of
+    one, so model.params hold the loss's gradients (added to whatever they
+    held); returns the loss value.
     """
     tokens = example.tokens
     t = len(tokens)
     n_context = len(example.source_ids) + len(example.forced_prefix_ids)
-    loss_mask = [False] * n_context + [True] * len(example.target_ids)
+    n = len(example.target_ids)
+    weights = [0.0] * (n_context - 1) + [1.0 / n] * n
     mask = build_prefix_mask(len(example.source_ids), t - len(example.source_ids))
     with ComputationTape():
         logits = model.forward(tokens, mask)
-        loss = cross_entropy(slice_rows(logits, 0, t - 1), tokens[1:], loss_mask[1:])
-        backward(scale(loss, 1.0))
+        loss = cross_entropy(slice_rows(logits, [(0, t - 1)]), tokens[1:], weights)
+        backward(loss)
     return loss.item()
 
 
 def reference_step(model, batch):
-    """training_step's gradients without its update, on the all-rows path
-    that the row-range forward replaces: Model.forward computes logits for
-    every row, and the slice of the rows before the target tokens is scored.
+    """training_step's gradients without its update, on the sequential
+    all-rows path that the packed row-range forward replaces: each example
+    runs on a tape of its own, Model.forward computes logits for every row,
+    and the slice of the rows before the target tokens is scored.
 
     Leaves each example's loss, scaled by 1/batch, backpropagated into
     model.params (cleared first); returns the mean loss.
@@ -265,7 +277,7 @@ def reference_step(model, batch):
         mask = build_prefix_mask(len(ex.source_ids), t - len(ex.source_ids))
         with ComputationTape():
             logits = model.forward(tokens, mask)
-            loss = cross_entropy(slice_rows(logits, first - 1, t - 1), ex.target_ids)
+            loss = cross_entropy(slice_rows(logits, [(first - 1, t - 1)]), ex.target_ids)
             backward(scale(loss, inv))
         total += loss.item()
     return total * inv

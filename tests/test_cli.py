@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from prefixlm.cli import main
+from prefixlm.data import RctExample, read_examples_jsonl, write_examples_jsonl
 
 CORPUS = """\
 ###100
@@ -243,6 +244,32 @@ def test_full_pipeline(tmp_path, corpus_file, capsys):
                  str(examples), "--out", str(report)]) == 0
     out = capsys.readouterr().out
     assert "ROUGE-1" in out
+    assert report.exists()
+
+
+def test_generate_writes_an_error_row_for_an_over_long_example(tmp_path, corpus_file, capsys):
+    _, examples = _preprocess(tmp_path, corpus_file)
+    _, vocab, merges = _train_tokenizer(tmp_path, examples)
+    cfg = _write_config(tmp_path, examples, vocab, merges, steps=1)
+    assert main(["finetune", "--config", str(cfg)]) == 0
+    good = read_examples_jsonl(examples)
+    # a source of 300 words takes more than max_positions=256 tokens
+    long = RctExample("long", " ".join(["word"] * 300) + " .", "Drug A works .", ("RESULTS",))
+    mixed = tmp_path / "mixed.jsonl"
+    write_examples_jsonl([good[0], long, good[1]], mixed)
+    gen = tmp_path / "gen.jsonl"
+    capsys.readouterr()
+    assert main(["generate", "--config", str(cfg), "--examples", str(mixed),
+                 "--n-hints", "1", "--max-new-tokens", "4", "--out", str(gen)]) == 0
+    assert "generated 2 conclusions (1 failed)" in capsys.readouterr().out
+    rows = [json.loads(line) for line in gen.read_text().splitlines()]
+    assert [r["pmid"] for r in rows] == [good[0].pmid, "long", good[1].pmid]
+    assert rows[1]["output"] == "" and "max_positions" in rows[1]["error"]
+    assert rows[0]["output"] and "error" not in rows[0] and "error" not in rows[2]
+    # score reads the failed row as an empty output
+    report = tmp_path / "scores.txt"
+    assert main(["score", "--generated", str(gen), "--references", str(mixed),
+                 "--out", str(report)]) == 0
     assert report.exists()
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prefixlm import finetune
 from prefixlm.bpe import save_vocabulary, train_merges
@@ -14,11 +15,13 @@ from prefixlm.finetune import (
     EncodedExample,
     HINTLESS_PROMPT,
     OptimizerState,
+    PACK_ROWS,
     TrainingConfig,
     encode_source,
     filter_long,
     load_checkpoint,
     load_model_weights,
+    pack_ranges,
     parse_training_config,
     prepare_example,
     run_finetune,
@@ -59,10 +62,10 @@ def tok():
     return train_merges(texts + [HINTLESS_PROMPT], 60)
 
 
-def tiny_model(tok, seed=0):
+def tiny_model(tok, seed=0, max_positions=128):
     config = ModelConfig(
         n_layers=2, d_model=16, n_heads=2, d_ff=32,
-        vocab_size=len(tok.vocab), max_positions=128,
+        vocab_size=len(tok.vocab), max_positions=max_positions,
     )
     return Model(config, init_params(config, seed))
 
@@ -272,22 +275,23 @@ def test_rejects_overlong_sequence(tok):
 
 def test_training_step_leaves_no_tape_alive(tok):
     # backward consumes each tape, so none waits for the cyclic collector
-    model = tiny_model(tok, seed=5)
+    model = tiny_model(tok, seed=5, max_positions=PACK_ROWS + 1)
     tapes = []
 
-    def forward_rows(tokens, mask, rows):
+    def forward_rows(segments):
         tapes.append(weakref.ref(active_tape()))
-        return Model.forward_rows(model, tokens, mask, rows)
+        return Model.forward_rows(model, segments)
 
     model.forward_rows = forward_rows
-    batch = [prepare_example(e, 1, tok) for e in CORPUS]
+    # the first two examples share a tape; the third is over the row budget
+    batch = [prepare_example(e, 1, tok) for e in CORPUS[:2]] + [_fake_example(PACK_ROWS + 1)]
     gc.disable()
     try:
         training_step(model, batch, OptimizerState())
         alive = [ref() is not None for ref in tapes]
     finally:
         gc.enable()
-    assert alive == [False] * len(batch)
+    assert alive == [False, False]
 
 
 def test_parameters_hold_gradients_only_after_a_step(tok, tmp_path):
@@ -303,11 +307,11 @@ def test_parameters_hold_gradients_only_after_a_step(tok, tmp_path):
 
 
 def _capture_logits(model):
-    """Make model.forward_rows keep each (rows, logits tensor) it returns."""
+    """Make model.forward_rows keep each (segments, logits tensor) it returns."""
     seen = []
 
-    def forward_rows(tokens, mask, rows):
-        seen.append((rows, Model.forward_rows(model, tokens, mask, rows)))
+    def forward_rows(segments):
+        seen.append((segments, Model.forward_rows(model, segments)))
         return seen[-1][1]
 
     model.forward_rows = forward_rows
@@ -320,7 +324,7 @@ def test_gradient_zero_outside_predicting_rows(tok):
     t = len(ex)
     seen = _capture_logits(model)
     training_step(model, [ex], OptimizerState())
-    (a, b), logits = seen[0]
+    [(_, _, (a, b))], logits = seen[0]
     # row j-1 predicts token j; only rows predicting a target token have
     # logits, and each of them gets a gradient
     predicting = {j - 1 for j in range(t - len(ex.target_ids), t)}
@@ -336,9 +340,9 @@ def test_hint_tokens_condition_but_are_not_scored(tok, monkeypatch):
     assert ex.forced_prefix_ids
     scored = []
 
-    def spy(logits, targets, loss_mask=None):
+    def spy(logits, targets, weights=None):
         scored.append(list(targets))
-        return cross_entropy(logits, targets, loss_mask)
+        return cross_entropy(logits, targets, weights)
 
     monkeypatch.setattr(finetune, "cross_entropy", spy)
 
@@ -357,15 +361,16 @@ def test_hint_tokens_condition_but_are_not_scored(tok, monkeypatch):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n_hints", [0, 1, 2])
 def test_target_slice_matches_masked_loss(tok, n_hints, dtype):
-    # scoring the target slice of the all-rows logits gives the loss and every
-    # gradient of the all-rows masked loss exactly
+    # scoring the target slice of the all-rows logits gives every gradient of
+    # the all-rows loss with zero weights off the targets exactly, and its loss
+    # up to the rounding of a sum that also runs over the zero-weight rows
     ex = prepare_example(CORPUS[2], n_hints, tok)
     assert len(ex.forced_prefix_ids) >= n_hints
     config = tiny_model(tok).config
     ref = Model(config, init_params(config, 8, dtype=dtype))
     want = reference_masked_loss(ref, ex)
     model = Model(config, init_params(config, 8, dtype=dtype))
-    assert reference_step(model, [ex]) == want
+    assert reference_step(model, [ex]) == pytest.approx(want, rel=4 * np.finfo(dtype).eps)
     for (name, p), (_, r) in zip(model.params.named(), ref.params.named()):
         assert p.dtype == dtype
         np.testing.assert_array_equal(p.grad, r.grad, err_msg=name)
@@ -385,6 +390,110 @@ def test_row_range_step_matches_all_rows_forward(tok, n_hints, n_layers):
     assert abs(got - want) <= 1e-12
     for (name, p), (_, r) in zip(model.params.named(), ref.params.named()):
         np.testing.assert_allclose(p.grad, r.grad, rtol=0, atol=1e-12, err_msg=name)
+
+
+def _random_example(seed, n_source, n_hint, n_target, vocab_size):
+    ids = np.random.default_rng(seed).integers(0, vocab_size, n_source + n_hint + n_target)
+    ids = [int(i) for i in ids]
+    return EncodedExample(ids[:n_source], ids[n_source:n_source + n_hint],
+                          ids[n_source + n_hint:])
+
+
+def _spy_packs(model):
+    """Make model.forward_rows record the token count of each segment it packs."""
+    packs = []
+
+    def forward_rows(segments):
+        packs.append([len(ids) for ids, _, _ in segments])
+        return Model.forward_rows(model, segments)
+
+    model.forward_rows = forward_rows
+    return packs
+
+
+@pytest.mark.parametrize("n_hints", [0, 1])
+@pytest.mark.parametrize("shape", ["one-pack", "over-budget", "mixed", "repeats"])
+def test_packed_step_matches_sequential_all_rows_step(shape, n_hints):
+    # float64: the packed step's loss and every gradient match the oracle's,
+    # which runs each example on a tape of its own over every row
+    vocab = 40
+    config = ModelConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32, vocab_size=vocab,
+                         max_positions=PACK_ROWS + 40)
+    short = [_random_example(i, 30 + 7 * i, n_hints, 5 + i, vocab) for i in range(4)]
+    long = _random_example(9, PACK_ROWS, n_hints, 12, vocab)
+    batch = {
+        "one-pack": short,
+        "over-budget": [long],
+        "mixed": [short[0], long, short[1], short[2], short[3], short[0]],
+        "repeats": [short[1], short[2], short[1], short[2]],
+    }[shape]
+    ref = Model(config, init_params(config, 3, dtype=np.float64))
+    want = reference_step(ref, batch)
+    model = Model(config, init_params(config, 3, dtype=np.float64))
+    packs = _spy_packs(model)
+    got = training_step(model, batch, OptimizerState(lr=0.0))
+    assert [n for pack in packs for n in pack] == [len(ex) for ex in batch]
+    assert packs == [[len(ex) for ex in batch[a:b]]
+                     for a, b in pack_ranges([len(ex) for ex in batch])]
+    if shape != "over-budget":
+        assert max(map(len, packs)) > 1
+    assert abs(got - want) <= 1e-12
+    for (name, p), (_, r) in zip(model.params.named(), ref.params.named()):
+        np.testing.assert_allclose(p.grad, r.grad, rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_hint_rows_of_packed_examples_are_not_scored():
+    # each packed example scores only the rows that predict its target tokens,
+    # not those that predict its hint tokens
+    vocab = 40
+    config = ModelConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32, vocab_size=vocab,
+                         max_positions=64)
+    batch = [_random_example(i, 20, 2, 6, vocab) for i in range(3)]
+    model = Model(config, init_params(config, 4, dtype=np.float64))
+    seen = _capture_logits(model)
+    training_step(model, batch, OptimizerState(lr=0.0))
+    [(segments, logits)] = seen
+    assert [rows for _, _, rows in segments] == [(21, 27)] * 3
+    assert logits.shape == (18, vocab)
+
+
+def test_pack_longer_than_max_positions_trains_when_each_example_fits():
+    vocab = 40
+    config = ModelConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32, vocab_size=vocab,
+                         max_positions=64)
+    batch = [_random_example(i, 50, 1, 10, vocab) for i in range(4)]
+    assert sum(map(len, batch)) > config.max_positions
+    ref = Model(config, init_params(config, 5, dtype=np.float64))
+    want = reference_step(ref, batch)
+    model = Model(config, init_params(config, 5, dtype=np.float64))
+    packs = _spy_packs(model)
+    got = training_step(model, batch, OptimizerState(lr=0.0))
+    assert packs == [[61, 61, 61, 61]]
+    assert abs(got - want) <= 1e-12
+
+
+def test_packed_example_over_max_positions_raises_from_embed(tok):
+    model = tiny_model(tok)
+    batch = [prepare_example(CORPUS[0], 0, tok), _fake_example(model.config.max_positions + 1)]
+    assert len(pack_ranges([len(ex) for ex in batch])) == 1
+    before = [p.data.copy() for _, p in model.params.named()]
+    with pytest.raises(ValueError, match="sequence of 129 tokens exceeds max_positions 128"):
+        training_step(model, batch, OptimizerState())
+    for (_, p), b in zip(model.params.named(), before):
+        np.testing.assert_array_equal(p.data, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 3 * PACK_ROWS), min_size=1, max_size=24))
+def test_pack_ranges_rule(lengths):
+    ranges = pack_ranges(lengths)
+    # in batch order, every slot exactly once
+    assert [i for a, b in ranges for i in range(a, b)] == list(range(len(lengths)))
+    for a, b in ranges:
+        rows = sum(lengths[a:b])
+        assert b - a == 1 or rows <= PACK_ROWS
+        if b < len(lengths):  # the next example would have taken the pack over
+            assert rows + lengths[b] > PACK_ROWS
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,7 @@ def test_embed_length_cap():
 def _one_head(q, k, v, mask):
     """attention over one head of the given query, key and value rows."""
     qkv = np.concatenate([np.asarray(a, dtype=np.float64) for a in (q, k, v)], axis=1)
-    return attention(Tensor(qkv), np.asarray(mask, dtype=np.float64), 1).data
+    return attention(Tensor(qkv), [(len(qkv), np.asarray(mask, dtype=np.float64), None)], 1).data
 
 
 def test_attention_single_key():
@@ -194,7 +194,7 @@ def _identity_block(d, d_ff=4):
 def _self_attention(x, mask, block, n_heads):
     """A block's attention sublayer: fused projection, attention, output projection."""
     qkv = matmul(x, block["attn_qkv.weight"])
-    return matmul(attention(qkv, mask, n_heads), block["attn_out.weight"])
+    return matmul(attention(qkv, [(len(x.data), mask, None)], n_heads), block["attn_out.weight"])
 
 
 def test_mhsa_identity_projections_single_position():
@@ -262,7 +262,7 @@ def test_ffn_constant_bias():
     block = _feed_forward_block(3, d_ff=4)
     block["ffn_b2.bias"] = Tensor([1.0, 2.0, 3.0])
     x = np.random.default_rng(0).normal(size=(5, 3)).astype(np.float32)
-    out = block_forward(Tensor(x), None, block, n_heads=1)
+    out = block_forward(Tensor(x), [(5, None, None)], block, n_heads=1)
     np.testing.assert_allclose(out.data, x + np.tile([1.0, 2.0, 3.0], (5, 1)), atol=1e-7)
 
 
@@ -272,9 +272,9 @@ def test_ffn_is_position_wise():
     block["ffn_w1.weight"] = Tensor(rng.normal(size=(4, 6)))
     block["ffn_w2.weight"] = Tensor(rng.normal(size=(6, 4)))
     x = rng.normal(size=(3, 4)).astype(np.float32)
-    out = block_forward(Tensor(x), None, block, n_heads=1).data
+    out = block_forward(Tensor(x), [(3, None, None)], block, n_heads=1).data
     perm = [2, 0, 1]
-    out_perm = block_forward(Tensor(x[perm]), None, block, n_heads=1).data
+    out_perm = block_forward(Tensor(x[perm]), [(3, None, None)], block, n_heads=1).data
     np.testing.assert_array_equal(out_perm, out[perm])
 
 
@@ -283,7 +283,7 @@ def test_ffn_hand_case():
     block["ffn_w1.weight"] = Tensor([[-2.0, 3.0]])
     block["ffn_w2.weight"] = Tensor([[1.0], [1.0]])
     block["ln2.bias"] = Tensor([1.0])  # a 1-wide layer norm outputs its beta: the input is 1
-    out = block_forward(Tensor([[1.0]]), None, block, n_heads=1)
+    out = block_forward(Tensor([[1.0]]), [(1, None, None)], block, n_heads=1)
     np.testing.assert_allclose(out.data, [[1.0 + 3.0]], atol=1e-7)
 
 
@@ -293,11 +293,11 @@ def test_block_zero_weights_is_residual_passthrough():
     block["attn_qkv.weight"] = Tensor(np.zeros((d, 3 * d)))
     block["attn_out.weight"] = Tensor(np.zeros((d, d)))
     x = np.random.default_rng(6).normal(size=(3, d)).astype(np.float32)
-    out = block_forward(Tensor(x), build_causal_mask(3), block, n_heads=2)
+    out = block_forward(Tensor(x), [(3, build_causal_mask(3), None)], block, n_heads=2)
     np.testing.assert_array_equal(out.data, x)
     # a feed-forward output bias shifts every row by that constant
     block["ffn_b2.bias"] = Tensor(np.full(d, 0.5, dtype=np.float32))
-    out = block_forward(Tensor(x), build_causal_mask(3), block, n_heads=2)
+    out = block_forward(Tensor(x), [(3, build_causal_mask(3), None)], block, n_heads=2)
     np.testing.assert_allclose(out.data, x + 0.5, atol=1e-7)
 
 
@@ -305,7 +305,7 @@ def test_block_preserves_shape():
     params = init_params(TINY, 7)
     for t in (1, 3, 6):
         x = Tensor(np.random.default_rng(t).normal(size=(t, 8)).astype(np.float32))
-        out = block_forward(x, build_causal_mask(t), params.block(0), 2)
+        out = block_forward(x, [(t, build_causal_mask(t), None)], params.block(0), 2)
         assert out.shape == (t, 8)
 
 
@@ -345,7 +345,7 @@ def test_block_golden_straight_line_recompute():
     golden = hidden @ bp["ffn_w2.weight"].data
     golden = golden + bp["ffn_b2.bias"].data + h
 
-    out = block_forward(Tensor(x, dtype=np.float64), mask, bp, heads)
+    out = block_forward(Tensor(x, dtype=np.float64), [(t, mask, None)], bp, heads)
     np.testing.assert_allclose(out.data, golden, atol=1e-12)
 
 
@@ -401,8 +401,8 @@ def test_prefix_source_hidden_states_ignore_target():
     m = tiny_model(seed=11)
     mask = build_prefix_mask(3, 3)
     # the last block's output, before the final layer norm and the head
-    a = m._blocks([1, 2, 3, 4, 5, 6], mask).data
-    b = m._blocks([1, 2, 3, 9, 8, 7], mask).data
+    a = m._blocks([([1, 2, 3, 4, 5, 6], mask, None)]).data
+    b = m._blocks([([1, 2, 3, 9, 8, 7], mask, None)]).data
     np.testing.assert_array_equal(a[:3], b[:3])
 
 
@@ -465,13 +465,13 @@ def test_forward_rows_match_forward_slice(n_layers, rows):
     model = Model(config, init_params(config, seed=33))
     tokens, mask = [3, 1, 4, 1, 5, 9], build_prefix_mask(3, 3)
     full = model.forward(tokens, mask).data
-    out = model.forward_rows(tokens, mask, rows).data
+    out = model.forward_rows([(tokens, mask, rows)]).data
     np.testing.assert_allclose(out, full[rows[0]:rows[1]], rtol=0, atol=1e-5)
 
 
 def test_forward_rows_reject_mask_of_other_length():
     with pytest.raises(ShapeError, match="mask"):
-        tiny_model().forward_rows([1, 2, 3], build_causal_mask(2), (1, 3))
+        tiny_model().forward_rows([([1, 2, 3], build_causal_mask(2), (1, 3))])
 
 
 @pytest.mark.parametrize("m, n_hints", [(5, 0), (5, 3), (1, 2)])
@@ -490,7 +490,7 @@ def test_full_tiny_model_gradcheck_vs_finite_differences():
     tokens = [3, 1, 4, 1, 5, 9]
     targets = [1, 4, 1, 5, 9, 2]
     mask = build_prefix_mask(3, 3)
-    loss_mask = [False, False, True, True, True, True]
+    weights = [0.0, 0.0, 0.25, 0.25, 0.25, 0.25]  # the mean over the four target rows
     params = init_params(config, seed=21, dtype=np.float64)
     names, leaves = zip(*params.named())
 
@@ -499,14 +499,14 @@ def test_full_tiny_model_gradcheck_vs_finite_differences():
         for (name, p), arr in zip(trial.named(), arrays):
             p.data[:] = arr
         logits = Model(config, trial).forward(tokens, mask)
-        return cross_entropy(logits, targets, loss_mask).item()
+        return cross_entropy(logits, targets, weights).item()
 
     arrays = [p.data.copy() for p in leaves]
     numeric = finite_difference_grads(loss_value, arrays)
 
     with ComputationTape():
         logits = Model(config, params).forward(tokens, mask)
-        backward(cross_entropy(logits, targets, loss_mask))
+        backward(cross_entropy(logits, targets, weights))
     for name, p, num in zip(names, leaves, numeric):
         err = grad_error(p.grad, num)
         assert err < 1e-4, f"{name}: gradient error {err:.2e}"

@@ -9,6 +9,7 @@ from oracles import (
     grad_error,
     mul,
     reference_attention,
+    scale,
     softmax_rows,
     sum_all,
 )
@@ -28,7 +29,6 @@ from prefixlm.tensor import (
     layer_norm,
     matmul,
     relu,
-    scale,
     slice_rows,
     transpose,
 )
@@ -101,7 +101,7 @@ def attention_softmax(x):
     mask[:r] = NEG_INF
     mask[:r, :c] = x
     qkv = np.concatenate([np.zeros((n, 2 * n)), np.eye(n)], axis=1)
-    return attention(t64(qkv), mask, 1).data[:r, :c]
+    return attention(t64(qkv), [(n, mask, None)], 1).data[:r, :c]
 
 
 def test_softmax_uniform_row():
@@ -209,16 +209,28 @@ def test_cross_entropy_hand_case():
     assert abs(loss.item() - 1.31326) < 1e-4
 
 
-def test_cross_entropy_mask_selects_positions():
+def test_cross_entropy_zero_weight_leaves_a_row_out():
     logits = t64([[0.0, 10.0], [10.0, 0.0]])
     # only the second row (a confident, correct prediction) contributes
-    loss = cross_entropy(logits, [0, 0], loss_mask=[False, True])
+    loss = cross_entropy(logits, [0, 0], [0.0, 1.0])
     assert loss.item() < 1e-4
 
 
-def test_cross_entropy_all_masked():
-    with pytest.raises(ValueError, match="masked"):
-        cross_entropy(t64(np.zeros((2, 3))), [0, 1], loss_mask=[False, False])
+def test_cross_entropy_weights_scale_each_row():
+    logits = np.random.default_rng(4).normal(size=(3, 5))
+    targets = [4, 0, 2]
+    per_row = [cross_entropy(t64(logits[i:i + 1]), targets[i:i + 1]).item() for i in range(3)]
+    loss = cross_entropy(t64(logits), targets, [0.5, 0.25, 2.0]).item()
+    assert loss == pytest.approx(0.5 * per_row[0] + 0.25 * per_row[1] + 2.0 * per_row[2])
+    # no weights: the mean over rows
+    assert cross_entropy(t64(logits), targets).item() == pytest.approx(sum(per_row) / 3)
+
+
+def test_cross_entropy_rejects_weights_of_other_length():
+    with pytest.raises(ShapeError, match="weights"):
+        cross_entropy(t64(np.zeros((2, 3))), [0, 1], [1.0])
+    with pytest.raises(ValueError, match="no rows"):
+        cross_entropy(t64(np.zeros((0, 3))), [])
 
 
 def test_cross_entropy_target_out_of_range():
@@ -334,9 +346,13 @@ OPS = {
     "gelu": lambda ts: _weighted(gelu(ts[0])),
     "softmax": lambda ts: _weighted(softmax_rows(ts[0])),
     "scale": lambda ts: _weighted(scale(ts[0], 0.37)),
-    "slice_rows": lambda ts: _weighted(slice_rows(ts[0], 1, 3)),
+    "slice_rows": lambda ts: _weighted(slice_rows(ts[0], [(1, 3)])),
+    "slice_rows_overlapping": lambda ts: _weighted(slice_rows(ts[0], [(2, 4), (0, 3)])),
     # 2 heads of width 2
-    "attention": lambda ts: _weighted(attention(ts[0], build_causal_mask(4), 2)),
+    "attention": lambda ts: _weighted(attention(ts[0], [(4, build_causal_mask(4), None)], 2)),
+    # two packed sequences of 2 rows, the second scoring its last row only
+    "attention_packed": lambda ts: _weighted(attention(
+        ts[0], [(2, build_prefix_mask(1, 1), None), (2, build_causal_mask(2)[1:], (1, 2))], 2)),
 }
 
 
@@ -348,7 +364,7 @@ def test_gradcheck_ops(name, seed):
         arrays = [rng.normal(size=(4, 5)), rng.normal(size=(5, 3))]
     elif name in ("add", "mul"):
         arrays = [rng.normal(size=(4, 5)), rng.normal(size=(4, 5))]
-    elif name == "attention":
+    elif name.startswith("attention"):
         arrays = [rng.normal(size=(4, 12))]
     else:
         arrays = [rng.normal(size=(4, 5))]
@@ -374,10 +390,10 @@ def test_gradcheck_cross_entropy():
     rng = np.random.default_rng(9)
     arrays = [rng.normal(size=(5, 7))]
     targets = [1, 4, 0, 6, 2]
-    mask = [True, False, True, True, False]
+    weights = [0.5, 0.0, 1.0, 0.25, 0.0]
 
     def build(ts):
-        return cross_entropy(ts[0], targets, loss_mask=mask)
+        return cross_entropy(ts[0], targets, weights)
 
     _check_op(build, arrays)
 
@@ -387,8 +403,8 @@ def test_gradcheck_overlapping_row_slices_and_whole_operand():
     rng = np.random.default_rng(13)
 
     def build(ts):
-        first = _weighted(slice_rows(ts[0], 0, 3))
-        second = _weighted(slice_rows(ts[0], 1, 5))
+        first = _weighted(slice_rows(ts[0], [(0, 3)]))
+        second = _weighted(slice_rows(ts[0], [(1, 5)]))
         return add(add(first, second), _weighted(ts[0]))
 
     _check_op(build, [rng.normal(size=(5, 4))])
@@ -419,10 +435,11 @@ def test_attention_matches_per_head_reference(n_heads, mask_name):
     qkv = np.random.default_rng(n_heads).normal(size=(5, 36))  # d = 12
     w = np.random.default_rng(99).normal(size=(5, 12))
     results = []
-    for op in (attention, reference_attention):
+    for op in (lambda x: attention(x, [(5, mask, None)], n_heads),
+               lambda x: reference_attention(x, mask, n_heads)):
         leaf = t64(qkv, requires_grad=True)
         with ComputationTape():
-            out = op(leaf, mask, n_heads)
+            out = op(leaf)
             backward(sum_all(mul(out, t64(w))))
         results.append((out.data, leaf.grad))
     (out, grad), (ref_out, ref_grad) = results
@@ -437,10 +454,11 @@ def test_cached_attention_matches_one_full_call(start, mask_name):
     mask = ATTENTION_MASKS[mask_name]
     qkv = np.random.default_rng(start).normal(size=(5, 36))
     keys, values = np.full((3, 8, 4), np.nan), np.full((3, 8, 4), np.nan)
-    attention(t64(qkv[:start]), mask[:start, :start], 3, (keys, values, 0))
+    attention(t64(qkv[:start]), [(start, mask[:start, :start], None)], 3, (keys, values, 0))
     rows_mask = None if mask_name == "visible" else mask[start:]
-    out = attention(t64(qkv[start:]), rows_mask, 3, (keys, values, start)).data
-    full = attention(t64(qkv), mask, 3).data
+    out = attention(t64(qkv[start:]), [(5 - start, rows_mask, None)], 3,
+                    (keys, values, start)).data
+    full = attention(t64(qkv), [(5, mask, None)], 3).data
     np.testing.assert_allclose(out, full[start:], rtol=0, atol=1e-12)
     # the cache holds the projection's keys and values, heads first
     k, v = (qkv[:, j * 12 : (j + 1) * 12].reshape(5, 3, 4).transpose(1, 0, 2) for j in (1, 2))
@@ -463,7 +481,7 @@ def test_attention_query_rows_match_full_call(rows, mask_name):
     for q_rows, q_mask, weight in ((rows, mask[a:b], w[a:b]), (None, mask, w)):
         leaf = t64(qkv, requires_grad=True)
         with ComputationTape():
-            out = attention(leaf, q_mask, 3, rows=q_rows)
+            out = attention(leaf, [(5, q_mask, q_rows)], 3)
             backward(sum_all(mul(out, t64(weight))))
         results.append((out.data, leaf.grad))
     (out, grad), (full, full_grad) = results
@@ -481,9 +499,10 @@ def test_cached_attention_query_rows(start):
     mask = build_prefix_mask(2, 3)
     qkv = np.random.default_rng(start).normal(size=(5, 36))
     keys, values = np.full((3, 8, 4), np.nan), np.full((3, 8, 4), np.nan)
-    attention(t64(qkv[:start]), mask[:start, :start], 3, (keys, values, 0))
-    out = attention(t64(qkv[start:]), mask[4:5], 3, (keys, values, start), (4 - start, 5 - start))
-    full = attention(t64(qkv), mask, 3).data
+    attention(t64(qkv[:start]), [(start, mask[:start, :start], None)], 3, (keys, values, 0))
+    out = attention(t64(qkv[start:]), [(5 - start, mask[4:5], (4 - start, 5 - start))], 3,
+                    (keys, values, start))
+    full = attention(t64(qkv), [(5, mask, None)], 3).data
     np.testing.assert_allclose(out.data, full[4:5], rtol=0, atol=1e-12)
     assert not np.isnan(keys[:, :5]).any() and np.isnan(keys[:, 5:]).all()
 
@@ -492,23 +511,27 @@ def test_attention_rejects_query_rows_mismatch():
     qkv = t64(np.zeros((4, 12)))
     # rows 1:3 need a 2 x 4 mask, not the 4 x 4 mask of every row
     with pytest.raises(ShapeError, match=r"\(2, 4\)"):
-        attention(qkv, np.zeros((4, 4)), 2, rows=(1, 3))
-    attention(qkv, np.zeros((2, 4)), 2, rows=(1, 3))
+        attention(qkv, [(4, np.zeros((4, 4)), (1, 3))], 2)
+    attention(qkv, [(4, np.zeros((2, 4)), (1, 3))], 2)
     for rows in ((2, 2), (3, 1), (-1, 2), (0, 5)):
         with pytest.raises(ShapeError, match="query rows"):
-            attention(qkv, None, 2, rows=rows)
+            attention(qkv, [(4, None, rows)], 2)
 
 
 def test_attention_rejects_mismatched_shapes():
     qkv = t64(np.zeros((3, 12)))
     with pytest.raises(ShapeError):
-        attention(qkv, np.zeros((3, 3)), 3)  # 12 columns are not 3 blocks of 3 heads
+        attention(qkv, [(3, np.zeros((3, 3)), None)], 3)  # 12 columns are not 3 blocks of 3 heads
     with pytest.raises(ShapeError):
-        attention(qkv, np.zeros((2, 2)), 2)
+        attention(qkv, [(3, np.zeros((2, 2)), None)], 2)
+    with pytest.raises(ShapeError, match="add up"):
+        attention(qkv, [(2, None, None), (2, None, None)], 2)
     # after 2 cached positions the mask must be 3 x 5; the cache stays unwritten
     keys, values = np.full((2, 8, 3), np.nan), np.full((2, 8, 3), np.nan)
     with pytest.raises(ShapeError, match=r"\(3, 5\)"):
-        attention(qkv, np.zeros((3, 3)), 2, (keys, values, 2))
+        attention(qkv, [(3, np.zeros((3, 3)), None)], 2, (keys, values, 2))
+    with pytest.raises(ShapeError, match="one segment"):
+        attention(qkv, [(1, None, None), (2, None, None)], 2, (keys, values, 2))
     assert np.isnan(keys).all() and np.isnan(values).all()
 
 

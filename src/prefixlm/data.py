@@ -18,8 +18,6 @@ __all__ = [
     "RctExample",
     "CorpusParseError",
     "parse_corpus",
-    "serialize_corpus",
-    "to_conclusion_task",
     "build_examples",
     "corpus_stats",
     "write_examples_jsonl",
@@ -107,16 +105,6 @@ def parse_corpus(source) -> list[RctAbstract]:
     return abstracts
 
 
-def serialize_corpus(abstracts) -> str:
-    """Inverse of parse_corpus for well-formed (upper-case label) files."""
-    records = []
-    for abstract in abstracts:
-        lines = [f"###{abstract.pmid}"]
-        lines.extend(f"{label}\t{text}" for label, text in abstract.sentences)
-        records.append("\n".join(lines))
-    return "\n\n".join(records) + "\n"
-
-
 def _normalize_sections(sections) -> tuple[str, ...]:
     normalized = tuple(s.strip().upper() for s in sections)
     if not normalized:
@@ -129,40 +117,28 @@ def _normalize_sections(sections) -> tuple[str, ...]:
     return normalized
 
 
-def to_conclusion_task(abstract: RctAbstract, sections) -> RctExample | None:
-    """Source/target pair for one abstract, or None when it must be skipped
-    (no conclusion sentences, or nothing in the selected sections)."""
-    return _conclusion_task(abstract, _normalize_sections(sections))
-
-
-def _conclusion_task(abstract: RctAbstract, sections: tuple[str, ...]) -> RctExample | None:
-    source = [text for label, text in abstract.sentences if label in sections]
-    target = [text for label, text in abstract.sentences if label == "CONCLUSIONS"]
-    if not source or not target:
-        return None
-    return RctExample(
-        pmid=abstract.pmid,
-        source_text=" ".join(source),
-        target_text=" ".join(target),
-        sections_used=sections,
-        source_sentences=len(source),
-        target_sentences=len(target),
-    )
-
-
 def build_examples(abstracts, sections):
-    """All usable examples plus the count of skipped abstracts. The sections
+    """All usable examples plus the count of skipped abstracts: those with no
+    conclusion sentences or nothing in the selected sections. The sections
     are checked before any abstract is read, so an empty corpus rejects a
     bad one too."""
     sections = _normalize_sections(sections)
     examples = []
     skipped = 0
     for abstract in abstracts:
-        example = _conclusion_task(abstract, sections)
-        if example is None:
+        source = [text for label, text in abstract.sentences if label in sections]
+        target = [text for label, text in abstract.sentences if label == "CONCLUSIONS"]
+        if not source or not target:
             skipped += 1
-        else:
-            examples.append(example)
+            continue
+        examples.append(RctExample(
+            pmid=abstract.pmid,
+            source_text=" ".join(source),
+            target_text=" ".join(target),
+            sections_used=sections,
+            source_sentences=len(source),
+            target_sentences=len(target),
+        ))
     return examples, skipped
 
 

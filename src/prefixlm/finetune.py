@@ -2,7 +2,7 @@
 
 Each example becomes one sequence: encoded source, separator, an optional
 forced prefix of hint words, then the remaining conclusion tokens and the
-end-of-text marker. Attention uses the prefix mask (bidirectional source,
+end-of-text marker. Attention uses the prefix rule (bidirectional source,
 causal target) and the loss covers only the conclusion tokens, each
 predicted from the position before it. Optimization is plain SGD with
 momentum and coupled weight decay.
@@ -21,7 +21,6 @@ from .model import (
     Model,
     ModelConfig,
     ModelParams,
-    build_prefix_mask,
     check_tensors,
     init_params,
     params_from_tensors,
@@ -165,7 +164,7 @@ def training_step(model: Model, batch, state: OptimizerState) -> float:
 
     The loss is the mean over examples of each example's mean over its target
     tokens. Consecutive examples are packed into one tape under PACK_ROWS
-    rows (pack_ranges), side by side: each keeps its own prefix mask and
+    rows (pack_ranges), side by side: each keeps its own source length and
     positions from 0, and scores only its target rows, each with weight
     1/(batch * targets). A pack of one is an unpacked example.
     """
@@ -180,8 +179,7 @@ def training_step(model: Model, batch, state: OptimizerState) -> float:
         for ex in batch[first:stop]:
             t, n_src, n_tgt = len(ex), len(ex.source_ids), len(ex.target_ids)
             # target token j is scored by the logits at position j-1
-            segments.append((ex.tokens, build_prefix_mask(n_src, t - n_src),
-                             (t - n_tgt - 1, t - 1)))
+            segments.append((ex.tokens, n_src, (t - n_tgt - 1, t - 1)))
             targets += ex.target_ids
             weights.append(np.full(n_tgt, 1.0 / len(batch), dtype=dtype) / n_tgt)
         with ComputationTape():

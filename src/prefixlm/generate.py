@@ -2,7 +2,7 @@
 
 The generated sequence uses exactly the training layout (source, separator,
 forced hint words, conclusion). The prompt runs through the model once
-under the prefix mask; each new token then adds one row per layer, attending
+under the prefix rule; each new token then adds one row per layer, attending
 over the cached keys and values of every earlier position. Since no
 position attends to a later one, this gives the same logits as re-running
 the full forward pass. The argmax token wins, ties going to the lowest

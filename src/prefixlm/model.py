@@ -1,23 +1,24 @@
-"""Decoder-style transformer with pre-layer-norm blocks and pluggable masks.
+"""Decoder-style transformer with pre-layer-norm blocks and a prefix LM rule.
 
 The stack is: token + learned position embeddings, N blocks of masked
 multi-head self-attention and a position-wise feed-forward sublayer (layer
 norm applied before each sublayer, residual around both), a final layer
-norm, and a language-model head tied to the token embedding. Attention
-masks are plain float matrices with 0 (visible) and -inf (hidden) entries.
-Training and decoding use the prefix mask (bidirectional source, causal
-target); the causal mask is the plain language-model case.
+norm, and a language-model head tied to the token embedding. Visibility is
+one number per sequence, its source length m: the query at position p sees
+key j when j < m or j <= p (bidirectional source, causal target; m <= 1 is
+the causal language model). Attention applies this rule itself;
+Model.forward takes it as a dense 0/-inf mask (build_prefix_mask).
 One forward, Model.forward_rows (a layer loop over block_forward, whose
 attention is the fused tensor.attention op), serves training and
-incremental decoding. It takes one or more sequences packed side by side,
-each attending only within itself from position 0, and returns logits for
-a range of each sequence's rows only: the last block needs keys and values
-from every row, but its queries, output projection, residuals,
-feed-forward sublayer, the final layer norm and the head run on those
-ranges alone. Training asks for the rows that predict the target tokens,
-decoding for the last row; Model.forward is the all-rows form of one
-sequence. Model.prefill and Model.step also pass each layer's slice of a
-key/value cache, so new rows attend over the cached positions too.
+incremental decoding. It takes one or more sequences packed side by side as
+(token_ids, m, rows), each attending only within itself from position 0,
+and returns logits for a range of each sequence's rows only: the last block
+needs keys and values from every row, but its queries, output projection,
+residuals, feed-forward sublayer, the final layer norm and the head run on
+those ranges alone. Training asks for the rows that predict the target
+tokens, decoding for the last row; Model.forward is the all-rows form of
+one sequence. Model.prefill and Model.step also pass each layer's slice of
+a key/value cache, so new rows attend over the cached positions too.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 
 from .tensor import (
     GraphError,
+    ShapeError,
     Tensor,
     active_tape,
     add,
@@ -190,11 +192,12 @@ def block_forward(
 ) -> Tensor:
     """Pre-LN residual block: attention sublayer, then feed-forward sublayer.
 
-    The rows of x hold the sequences `segments`, as in tensor.attention. Every
-    row feeds the keys and values; only each segment's query rows are carried
-    on through the output projection, the residuals and the feed-forward
-    sublayer, so the result stacks those rows. `block` maps the names of
-    _BLOCK_TENSORS to the layer's tensors; `cache` is as in tensor.attention.
+    The rows of x hold the sequences `segments` = [(n, m, rows), ...], as in
+    tensor.attention: n rows, source length m and query rows. Every row feeds
+    the keys and values; only each segment's query rows are carried on through
+    the output projection, the residuals and the feed-forward sublayer, so
+    the result stacks those rows. `block` maps the names of _BLOCK_TENSORS to
+    the layer's tensors; `cache` is as in tensor.attention.
     """
     qkv = matmul(layer_norm(x, block["ln1.weight"], block["ln1.bias"], LN_EPS),
                  block["attn_qkv.weight"])
@@ -216,7 +219,7 @@ def block_forward(
 class KVCache:
     """Keys and values of every layer for the first `length` positions.
 
-    Under the causal and prefix masks no position attends to a later one,
+    Under the prefix rule no position attends to a later one,
     so a row's keys and values never change once computed: decoding one
     more token needs only that token's row in each layer.
     """
@@ -257,60 +260,60 @@ class Model:
         return matmul(x, transpose(p["embed_token"]))
 
     def forward(self, token_ids, mask: np.ndarray) -> Tensor:
-        """Next-token logits [T x vocab_size] under the given attention mask."""
-        return self.forward_rows([(token_ids, mask, None)])
+        """Next-token logits [T x vocab_size] of one sequence under a dense
+        mask, which must be build_prefix_mask(m, T - m) for the m keys its
+        first row sees (a causal mask is m = 1)."""
+        t, mask = len(token_ids), np.asarray(mask)
+        m = int(np.count_nonzero(mask[0] == 0)) if t and mask.shape == (t, t) else 0
+        if not m or not np.array_equal(mask, build_prefix_mask(m, t - m)):
+            raise ShapeError(f"mask of shape {mask.shape} is not a causal or prefix "
+                             f"mask over {t} tokens")
+        return self.forward_rows([(token_ids, m, None)])
 
     def forward_rows(self, segments, cache: KVCache | None = None) -> Tensor:
-        """Next-token logits of the sequences `segments` = [(token_ids, mask,
+        """Next-token logits of the sequences `segments` = [(token_ids, m,
         rows), ...], packed side by side: each starts at position 0, attends
-        only within itself under its [T x T] mask, and gives the logits of its
-        rows `rows` = (a, b), or of every row when rows is None, stacked in
-        order. `cache` is as in _blocks. Only the last block and the head work
-        on the rows."""
-        return self._head(self._blocks(segments, cache))
-
-    def _blocks(self, segments, cache: KVCache | None = None) -> Tensor:
-        """The last block's output for the sequences of forward_rows, at their
-        rows. With a cache there is one sequence, at positions cache.length
-        onward, and each layer writes its keys and values into its slice of
-        the cache (cache.length is left as it was)."""
+        only within itself under the prefix rule of its source length m (as in
+        tensor.attention), and gives the logits of its rows `rows` = (a, b), or
+        of every row when rows is None, stacked in order. Every block but the
+        last runs on all rows; the last block and the head run on the rows.
+        With a cache there is one sequence, at positions cache.length onward,
+        and each layer writes its keys and values into its slice of the cache
+        (cache.length is left as it was)."""
         start = 0 if cache is None else cache.length
-        lengths = [len(ids) for ids, _, _ in segments]
+        cut = [(len(ids), m, rows) for ids, m, rows in segments]
+        every = [(n, m, None) for n, m, _ in cut]
         x = self.embed(np.concatenate([np.asarray(ids, dtype=np.int64) for ids, _, _ in segments]),
-                       [(start, start + n) for n in lengths])
-        every = [(n, mask, None) for n, (_, mask, _) in zip(lengths, segments)]
-        cut = [(n, mask if rows is None or mask is None else mask[rows[0]:rows[1]], rows)
-               for n, (_, mask, rows) in zip(lengths, segments)]
+                       [(start, start + n) for n, _, _ in cut])
         last = self.config.n_layers - 1
         for layer in range(self.config.n_layers):
             kv = None if cache is None else (cache.keys[layer], cache.values[layer], start)
             x = block_forward(x, cut if layer == last else every, self.params.block(layer),
                               self.config.n_heads, self.config.activation, kv)
-        return x
+        return self._head(x)
 
     def prefill(self, token_ids, m: int):
         """Run a prompt of m source tokens (then target tokens) once under
-        the prefix mask; returns (next-token logits of its last row, cache).
+        the prefix rule; returns (next-token logits of its last row, cache).
 
         The cache has a row for each of the max_positions positions, left
         uninitialized: rows that decoding never reaches are never touched.
         """
-        mask = build_prefix_mask(m, len(token_ids) - m)
         dtype = self.params["embed_token"].dtype
         c = self.config
         shape = (c.n_layers, c.n_heads, c.max_positions, c.d_k)
         cache = KVCache(np.empty(shape, dtype), np.empty(shape, dtype))
-        return self._extend(cache, token_ids, mask), cache
+        return self._extend(cache, token_ids, m), cache
 
     def step(self, cache: KVCache, token_id: int) -> np.ndarray:
         """Append one token after the cached positions; its next-token logits."""
-        return self._extend(cache, [token_id], None)
+        return self._extend(cache, [token_id], 0)  # the last position sees every key
 
-    def _extend(self, cache: KVCache, token_ids, mask) -> np.ndarray:
+    def _extend(self, cache: KVCache, token_ids, m: int) -> np.ndarray:
         if active_tape() is not None:
             raise GraphError("incremental decoding runs outside any tape")
         t = len(token_ids)
-        logits = self.forward_rows([(token_ids, mask, (t - 1, t))], cache)
+        logits = self.forward_rows([(token_ids, m, (t - 1, t))], cache)
         cache.length += t
         return logits.data[0]
 

@@ -357,23 +357,25 @@ def query_ranges(segments):
 
 def attention(qkv: Tensor, segments, n_heads: int, cache=None) -> Tensor:
     """Multi-head self-attention of a fused [t x 3*d] query|key|value
-    projection: softmax(q k^T / sqrt(d_k) + mask) v per head, the result with
-    the heads side by side.
+    projection: softmax(q k^T / sqrt(d_k)) v per head over the visible keys,
+    the result with the heads side by side.
 
     The t rows hold one or more sequences side by side, `segments` =
-    [(n, mask, rows), ...] in row order with the n summing to t, and each
+    [(n, m, rows), ...] in row order with the n summing to t, and each
     attends over its own rows only, in a softmax of its own. Queries come
     from the segment's rows `rows` = (a, b), all n when None; keys and values
     from every row of the segment. The result stacks each segment's [b-a x d]
-    query rows in order. Without a cache a segment attends over its s = n
-    rows. `cache` is one layer's (keys, values, start), for a single segment,
-    with keys and values [H x positions x d_k] arrays: the n rows sit at
-    positions start onward, their keys and values are written there, and the
-    queries attend over the s = start + n positions up to the last row.
-    `mask` is 0/-inf [b-a x s], or None when every position is visible.
-    Cached calls are for decoding, off the tape. The backward keeps only the
-    softmax weights besides its operand, and its query gradient is zero
-    outside the query rows.
+    query rows in order. Without a cache a segment's rows sit at positions 0
+    to s = n; `cache` is one layer's (keys, values, start), for a single
+    segment, with keys and values [H x positions x d_k] arrays: the n rows sit
+    at positions start onward, their keys and values are written there, and
+    the queries attend over the s = start + n positions up to the last row.
+    Visibility is the prefix rule of the segment's source length m, 0 <= m <=
+    s: the query at position p sees key j when j < m or j <= p, so m = s sees
+    every key and m <= 1 is the causal rule. Hidden scores are set to -inf
+    only when some query row has a hidden key. Cached calls are for decoding,
+    off the tape. The backward keeps only the softmax weights besides its
+    operand, and its query gradient is zero outside the query rows.
     """
     if qkv.ndim != 2 or qkv.shape[1] % (3 * n_heads):
         raise ShapeError(f"attention needs [t x 3*d] with {n_heads} heads, got {qkv.shape}")
@@ -385,29 +387,31 @@ def attention(qkv: Tensor, segments, n_heads: int, cache=None) -> Tensor:
         raise ShapeError("a cached attention call takes one segment")
     q, k, v = _split_heads(qkv.data, n_heads)
     c = 1.0 / math.sqrt(q.shape[2])
+    start = 0 if cache is None else cache[2]
     parts, heads, offset, cut = [], [], 0, False
-    for n, mask, rows in segments:
+    for n, m, rows in segments:
         a, b = (0, n) if rows is None else rows
         if not 0 <= a < b <= n:
             raise ShapeError(f"query rows [{a}:{b}] out of range for {n} rows")
+        s = start + n
+        if not 0 <= m <= s:
+            raise ShapeError(f"source length {m} out of range for {s} positions")
         cut = cut or rows is not None
-        a, b = offset + a, offset + b
-        s = n if cache is None else cache[2] + n
-        if mask is not None and np.shape(mask) != (b - a, s):
-            raise ShapeError(f"mask must be ({b - a}, {s}), got {np.shape(mask)}")
         ks, vs = k[:, offset:offset + n], v[:, offset:offset + n]
         if cache is not None:
-            keys, values, start = cache
+            keys, values, _ = cache
             keys[:, start:s], values[:, start:s] = ks, vs
             ks, vs = keys[:, :s], values[:, :s]
-        qs = q[:, a:b]
+        qs = q[:, offset + a:offset + b]
         scores = np.matmul(qs, ks.transpose(0, 2, 1))
         scores *= np.asarray(c, dtype=scores.dtype)
-        if mask is not None:
-            scores += np.asarray(mask, dtype=scores.dtype)
+        if max(m, start + a + 1) < s:  # the first query row has a hidden key
+            # key j >= m is hidden from the query at position p when j > p
+            np.copyto(scores[..., m:], -np.inf,
+                      where=np.arange(m, s) > np.arange(start + a, start + b)[:, None])
         w = _softmax(scores)
         heads.append(np.matmul(w, vs).transpose(1, 0, 2).reshape(b - a, -1))
-        parts.append((offset, n, a, b, qs, ks, vs, w))
+        parts.append((offset, n, offset + a, offset + b, qs, ks, vs, w))
         offset += n
 
     def bw(g):

@@ -1,5 +1,6 @@
-"""Shared test data: sample clinical abstract texts and a synthetic
-memorization corpus small enough to overfit on a laptop."""
+"""Shared test data: sample clinical abstract texts, a synthetic
+memorization corpus small enough to overfit on a laptop, and a writer for
+the labeled-sentence corpus format."""
 
 # Space-tokenized sentences in the style of the trial-abstract corpus.
 SAMPLE_CLINICAL_TEXTS = [
@@ -99,3 +100,13 @@ def memorization_pairs():
         target = f"{drug} {benefit} and was well tolerated ."
         pairs.append((source, target))
     return pairs
+
+
+def serialize_corpus(abstracts) -> str:
+    """Inverse of data.parse_corpus for well-formed (upper-case label) files."""
+    records = []
+    for abstract in abstracts:
+        lines = [f"###{abstract.pmid}"]
+        lines.extend(f"{label}\t{text}" for label, text in abstract.sentences)
+        records.append("\n".join(lines))
+    return "\n\n".join(records) + "\n"

@@ -10,6 +10,7 @@ import pytest
 
 from prefixlm.cli import main
 from prefixlm.data import RctExample, read_examples_jsonl, write_examples_jsonl
+from prefixlm.model import read_tensor_map
 
 CORPUS = """\
 ###100
@@ -466,7 +467,6 @@ def test_finetune_killed_then_rerun_matches_uninterrupted(tmp_path, corpus_file,
     steps = 60
     cfg = _write_config(tmp_path, examples, vocab, merges, steps=steps)
     _set_key(cfg, "checkpoint_every", 2)
-    outputs = {}
     for run_name in ("straight", "killed"):
         run = tmp_path / run_name
         _set_key(cfg, "checkpoint_path", run / "ck.bin")
@@ -487,8 +487,21 @@ def test_finetune_killed_then_rerun_matches_uninterrupted(tmp_path, corpus_file,
             logged = (run / "loss.csv").read_text().splitlines()
             assert (run / "ck.bin").exists() and 4 <= len(logged) <= steps
         assert main(["finetune", "--config", str(cfg)]) == 0
-        outputs[run_name] = [(run / name).read_bytes() for name in ("ck.bin", "loss.csv")]
-    assert outputs["killed"] == outputs["straight"]
+    straight, killed = tmp_path / "straight", tmp_path / "killed"
+    assert (killed / "ck.bin").read_bytes() == (straight / "ck.bin").read_bytes(), \
+        _checkpoint_difference(killed / "ck.bin", straight / "ck.bin")
+    assert (killed / "loss.csv").read_bytes() == (straight / "loss.csv").read_bytes()
+
+
+def _checkpoint_difference(path, other) -> str:
+    """The first tensor, in file order, whose bytes differ between two
+    checkpoints, and the meta step of each."""
+    (tensors, step), (others, other_step) = read_tensor_map(path), read_tensor_map(other)
+    names = list(tensors) + [name for name in others if name not in tensors]
+    first = next((name for name in names if name not in tensors or name not in others
+                  or tensors[name].tobytes() != others[name].tobytes()), None)
+    return (f"first differing tensor {first!r}; meta step {step} in {path.parent.name}, "
+            f"{other_step} in {other.parent.name}")
 
 
 def test_finetune_refuses_to_resume_past_steps(tmp_path, corpus_file, capsys):

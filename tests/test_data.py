@@ -1,6 +1,7 @@
 import re
 
 import pytest
+from fixtures import serialize_corpus
 
 from prefixlm.data import (
     CorpusParseError,
@@ -10,8 +11,6 @@ from prefixlm.data import (
     corpus_stats,
     parse_corpus,
     read_examples_jsonl,
-    serialize_corpus,
-    to_conclusion_task,
     write_examples_jsonl,
 )
 
@@ -112,8 +111,16 @@ def _abstracts():
     return parse_corpus(FIXTURE.splitlines())
 
 
+def _example(abstract, sections):
+    """The example build_examples makes of one abstract, or None when it
+    skips the abstract."""
+    examples, skipped = build_examples([abstract], sections)
+    assert len(examples) + skipped == 1
+    return examples[0] if examples else None
+
+
 def test_to_conclusion_task_standard_sections():
-    example = to_conclusion_task(_abstracts()[0], SECTIONS)
+    example = _example(_abstracts()[0], SECTIONS)
     assert example.source_text == (
         "Drug A is widely used . To compare drug A with placebo ."
         " Drug A reduced symptoms significantly ."
@@ -125,12 +132,12 @@ def test_to_conclusion_task_standard_sections():
 
 
 def test_to_conclusion_task_results_only_ablation():
-    example = to_conclusion_task(_abstracts()[0], ("RESULTS",))
+    example = _example(_abstracts()[0], ("RESULTS",))
     assert example.source_text == "Drug A reduced symptoms significantly ."
 
 
 def test_to_conclusion_task_joins_multiple_conclusions():
-    example = to_conclusion_task(_abstracts()[1], SECTIONS)
+    example = _example(_abstracts()[1], SECTIONS)
     assert example.target_text == (
         "Treatment B showed no benefit . Further study is warranted ."
     )
@@ -140,22 +147,22 @@ def test_to_conclusion_task_joins_multiple_conclusions():
 def test_to_conclusion_task_skips_without_source():
     abstract = RctAbstract("x", [("METHODS", "only methods ."),
                                  ("CONCLUSIONS", "fine .")])
-    assert to_conclusion_task(abstract, SECTIONS) is None
+    assert _example(abstract, SECTIONS) is None
 
 
 def test_to_conclusion_task_skips_without_conclusion():
     abstract = RctAbstract("x", [("RESULTS", "some result .")])
-    assert to_conclusion_task(abstract, SECTIONS) is None
+    assert _example(abstract, SECTIONS) is None
 
 
 def test_to_conclusion_task_rejects_conclusions_as_source():
     with pytest.raises(ValueError, match="CONCLUSIONS"):
-        to_conclusion_task(_abstracts()[0], ("RESULTS", "CONCLUSIONS"))
+        _example(_abstracts()[0], ("RESULTS", "CONCLUSIONS"))
 
 
 def test_to_conclusion_task_rejects_unknown_section():
     with pytest.raises(ValueError, match="INTRO"):
-        to_conclusion_task(_abstracts()[0], ("INTRO",))
+        _example(_abstracts()[0], ("INTRO",))
 
 
 def test_build_examples_checks_sections_without_abstracts():
@@ -180,7 +187,7 @@ def test_order_preserved_across_sections():
             ("CONCLUSIONS", "done ."),
         ],
     )
-    example = to_conclusion_task(abstract, SECTIONS)
+    example = _example(abstract, SECTIONS)
     assert example.source_text == "first result . late background . second result ."
 
 

@@ -141,22 +141,22 @@ def test_embed_length_cap():
 # ---------------------------------------------------------------------------
 
 
-def _one_head(q, k, v, mask):
-    """attention over one head of the given query, key and value rows."""
+def _one_head(q, k, v, m):
+    """attention over one head of the given query, key and value rows, with
+    an m-row source."""
     qkv = np.concatenate([np.asarray(a, dtype=np.float64) for a in (q, k, v)], axis=1)
-    return attention(Tensor(qkv), [(len(qkv), np.asarray(mask, dtype=np.float64), None)], 1).data
+    return attention(Tensor(qkv), [(len(qkv), m, None)], 1).data
 
 
 def test_attention_single_key():
-    out = _one_head([[1.0, 2.0]], [[3.0, 4.0]], [[5.0, 6.0]], np.zeros((1, 1)))
+    out = _one_head([[1.0, 2.0]], [[3.0, 4.0]], [[5.0, 6.0]], 1)
     np.testing.assert_array_equal(out, [[5.0, 6.0]])
 
 
 def test_attention_forced_single_attendee():
     rng = np.random.default_rng(0)
     q, k, v = (rng.normal(size=(2, 3)) for _ in range(3))
-    mask = np.array([[0.0, NEG_INF], [0.0, 0.0]])
-    out = _one_head(q, k, v, mask)
+    out = _one_head(q, k, v, 0)  # causal: row 0 sees only key 0
     np.testing.assert_array_equal(out[0], v[0])
 
 
@@ -164,15 +164,8 @@ def test_attention_uniform_weights():
     rng = np.random.default_rng(1)
     v = rng.normal(size=(2, 4))
     zeros = np.zeros((2, 4))
-    out = _one_head(zeros, zeros, v, np.zeros((2, 2)))
+    out = _one_head(zeros, zeros, v, 2)
     np.testing.assert_allclose(out, np.tile(v.mean(axis=0), (2, 1)), atol=1e-6)
-
-
-def test_attention_fully_masked_row():
-    ones = np.ones((2, 2))
-    mask = np.array([[0.0, 0.0], [NEG_INF, NEG_INF]])
-    with pytest.raises(ValueError, match="degenerate"):
-        _one_head(ones, ones, ones, mask)
 
 
 def _identity_block(d, d_ff=4):
@@ -191,16 +184,17 @@ def _identity_block(d, d_ff=4):
     }
 
 
-def _self_attention(x, mask, block, n_heads):
-    """A block's attention sublayer: fused projection, attention, output projection."""
+def _self_attention(x, m, block, n_heads):
+    """A block's attention sublayer: fused projection, attention, output
+    projection, with an m-row source."""
     qkv = matmul(x, block["attn_qkv.weight"])
-    return matmul(attention(qkv, [(len(x.data), mask, None)], n_heads), block["attn_out.weight"])
+    return matmul(attention(qkv, [(len(x.data), m, None)], n_heads), block["attn_out.weight"])
 
 
 def test_mhsa_identity_projections_single_position():
     block = _identity_block(3)
     x = Tensor([[0.3, -0.7, 1.1]])
-    out = _self_attention(x, np.zeros((1, 1)), block, n_heads=1)
+    out = _self_attention(x, 1, block, n_heads=1)
     np.testing.assert_allclose(out.data, x.data, atol=1e-7)
 
 
@@ -208,9 +202,8 @@ def test_mhsa_deterministic():
     rng = np.random.default_rng(2)
     params = init_params(TINY, 3)
     x = Tensor(rng.normal(size=(4, 8)).astype(np.float32))
-    mask = build_causal_mask(4)
-    a = _self_attention(x, mask, params.block(0), 2).data
-    b = _self_attention(x, mask, params.block(0), 2).data
+    a = _self_attention(x, 0, params.block(0), 2).data
+    b = _self_attention(x, 0, params.block(0), 2).data
     np.testing.assert_array_equal(a, b)
 
 
@@ -241,7 +234,7 @@ def test_mhsa_two_heads_match_hand_assembly():
     block = _identity_block(d)
     block["attn_qkv.weight"] = Tensor(w_qkv, dtype=np.float64)
     block["attn_out.weight"] = Tensor(w_out, dtype=np.float64)
-    out = _self_attention(Tensor(x, dtype=np.float64), mask, block, heads)
+    out = _self_attention(Tensor(x, dtype=np.float64), 0, block, heads)
     np.testing.assert_allclose(out.data, expected, atol=1e-10)
 
 
@@ -262,7 +255,7 @@ def test_ffn_constant_bias():
     block = _feed_forward_block(3, d_ff=4)
     block["ffn_b2.bias"] = Tensor([1.0, 2.0, 3.0])
     x = np.random.default_rng(0).normal(size=(5, 3)).astype(np.float32)
-    out = block_forward(Tensor(x), [(5, None, None)], block, n_heads=1)
+    out = block_forward(Tensor(x), [(5, 5, None)], block, n_heads=1)
     np.testing.assert_allclose(out.data, x + np.tile([1.0, 2.0, 3.0], (5, 1)), atol=1e-7)
 
 
@@ -272,9 +265,9 @@ def test_ffn_is_position_wise():
     block["ffn_w1.weight"] = Tensor(rng.normal(size=(4, 6)))
     block["ffn_w2.weight"] = Tensor(rng.normal(size=(6, 4)))
     x = rng.normal(size=(3, 4)).astype(np.float32)
-    out = block_forward(Tensor(x), [(3, None, None)], block, n_heads=1).data
+    out = block_forward(Tensor(x), [(3, 3, None)], block, n_heads=1).data
     perm = [2, 0, 1]
-    out_perm = block_forward(Tensor(x[perm]), [(3, None, None)], block, n_heads=1).data
+    out_perm = block_forward(Tensor(x[perm]), [(3, 3, None)], block, n_heads=1).data
     np.testing.assert_array_equal(out_perm, out[perm])
 
 
@@ -283,7 +276,7 @@ def test_ffn_hand_case():
     block["ffn_w1.weight"] = Tensor([[-2.0, 3.0]])
     block["ffn_w2.weight"] = Tensor([[1.0], [1.0]])
     block["ln2.bias"] = Tensor([1.0])  # a 1-wide layer norm outputs its beta: the input is 1
-    out = block_forward(Tensor([[1.0]]), [(1, None, None)], block, n_heads=1)
+    out = block_forward(Tensor([[1.0]]), [(1, 1, None)], block, n_heads=1)
     np.testing.assert_allclose(out.data, [[1.0 + 3.0]], atol=1e-7)
 
 
@@ -293,11 +286,11 @@ def test_block_zero_weights_is_residual_passthrough():
     block["attn_qkv.weight"] = Tensor(np.zeros((d, 3 * d)))
     block["attn_out.weight"] = Tensor(np.zeros((d, d)))
     x = np.random.default_rng(6).normal(size=(3, d)).astype(np.float32)
-    out = block_forward(Tensor(x), [(3, build_causal_mask(3), None)], block, n_heads=2)
+    out = block_forward(Tensor(x), [(3, 0, None)], block, n_heads=2)
     np.testing.assert_array_equal(out.data, x)
     # a feed-forward output bias shifts every row by that constant
     block["ffn_b2.bias"] = Tensor(np.full(d, 0.5, dtype=np.float32))
-    out = block_forward(Tensor(x), [(3, build_causal_mask(3), None)], block, n_heads=2)
+    out = block_forward(Tensor(x), [(3, 0, None)], block, n_heads=2)
     np.testing.assert_allclose(out.data, x + 0.5, atol=1e-7)
 
 
@@ -305,7 +298,7 @@ def test_block_preserves_shape():
     params = init_params(TINY, 7)
     for t in (1, 3, 6):
         x = Tensor(np.random.default_rng(t).normal(size=(t, 8)).astype(np.float32))
-        out = block_forward(x, [(t, build_causal_mask(t), None)], params.block(0), 2)
+        out = block_forward(x, [(t, 0, None)], params.block(0), 2)
         assert out.shape == (t, 8)
 
 
@@ -345,7 +338,7 @@ def test_block_golden_straight_line_recompute():
     golden = hidden @ bp["ffn_w2.weight"].data
     golden = golden + bp["ffn_b2.bias"].data + h
 
-    out = block_forward(Tensor(x, dtype=np.float64), [(t, mask, None)], bp, heads)
+    out = block_forward(Tensor(x, dtype=np.float64), [(t, 0, None)], bp, heads)
     np.testing.assert_allclose(out.data, golden, atol=1e-12)
 
 
@@ -363,6 +356,18 @@ def test_forward_logits_shape():
 def test_forward_rejects_mask_of_other_length():
     with pytest.raises(ShapeError, match="mask"):
         tiny_model().forward([1, 2, 3], build_causal_mask(2))
+
+
+def test_forward_refuses_mask_that_is_neither_causal_nor_prefix():
+    # forward reads m from the first row and runs the prefix rule, so any
+    # other dense mask would be silently replaced: it is refused instead
+    hides_everything = build_causal_mask(4)
+    hides_everything[0, 0] = NEG_INF
+    holed = build_prefix_mask(2, 2)
+    holed[3, 1] = NEG_INF
+    for mask in (build_causal_mask(4).T, hides_everything, holed):
+        with pytest.raises(ShapeError, match="mask"):
+            tiny_model().forward([1, 2, 3, 4], mask)
 
 
 def test_forward_deterministic():
@@ -399,11 +404,10 @@ def test_causal_invariance_to_future_perturbation():
 
 def test_prefix_source_hidden_states_ignore_target():
     m = tiny_model(seed=11)
-    mask = build_prefix_mask(3, 3)
-    # the last block's output, before the final layer norm and the head
-    a = m._blocks([([1, 2, 3, 4, 5, 6], mask, None)]).data
-    b = m._blocks([([1, 2, 3, 9, 8, 7], mask, None)]).data
-    np.testing.assert_array_equal(a[:3], b[:3])
+    # the source rows only: the final layer norm and the head act row by row
+    a = m.forward_rows([([1, 2, 3, 4, 5, 6], 3, (0, 3))]).data
+    b = m.forward_rows([([1, 2, 3, 9, 8, 7], 3, (0, 3))]).data
+    np.testing.assert_array_equal(a, b)
 
 
 def test_prefix_target_logits_ignore_later_target_tokens():
@@ -465,13 +469,13 @@ def test_forward_rows_match_forward_slice(n_layers, rows):
     model = Model(config, init_params(config, seed=33))
     tokens, mask = [3, 1, 4, 1, 5, 9], build_prefix_mask(3, 3)
     full = model.forward(tokens, mask).data
-    out = model.forward_rows([(tokens, mask, rows)]).data
+    out = model.forward_rows([(tokens, 3, rows)]).data
     np.testing.assert_allclose(out, full[rows[0]:rows[1]], rtol=0, atol=1e-5)
 
 
-def test_forward_rows_reject_mask_of_other_length():
-    with pytest.raises(ShapeError, match="mask"):
-        tiny_model().forward_rows([([1, 2, 3], build_causal_mask(2), (1, 3))])
+def test_forward_rows_reject_source_longer_than_sequence():
+    with pytest.raises(ShapeError, match="source length 4"):
+        tiny_model().forward_rows([([1, 2, 3], 4, (1, 3))])
 
 
 @pytest.mark.parametrize("m, n_hints", [(5, 0), (5, 3), (1, 2)])

@@ -14,7 +14,7 @@ from oracles import (
     sum_all,
 )
 
-from prefixlm.model import build_causal_mask, build_prefix_mask
+from prefixlm.model import build_prefix_mask
 from prefixlm.tensor import (
     ComputationTape,
     GraphError,
@@ -31,6 +31,7 @@ from prefixlm.tensor import (
     relu,
     slice_rows,
     transpose,
+    _softmax,
 )
 
 NEG_INF = float("-inf")
@@ -90,43 +91,29 @@ def test_matmul_associativity_small_integers(seed):
 # ---------------------------------------------------------------------------
 
 
-def attention_softmax(x):
-    """Row-wise softmax of x [r x c] as attention computes it: zero queries
-    and keys make the scores the mask itself, and identity values return the
-    weights. x is padded to a square with hidden columns and visible rows."""
-    x = np.asarray(x, dtype=np.float64)
-    r, c = x.shape
-    n = max(r, c)
-    mask = np.zeros((n, n))
-    mask[:r] = NEG_INF
-    mask[:r, :c] = x
-    qkv = np.concatenate([np.zeros((n, 2 * n)), np.eye(n)], axis=1)
-    return attention(t64(qkv), [(n, mask, None)], 1).data[:r, :c]
-
-
 def test_softmax_uniform_row():
-    out = attention_softmax([[0.0, 0.0, 0.0, 0.0]])
+    out = _softmax(np.array([[0.0, 0.0, 0.0, 0.0]]))
     np.testing.assert_allclose(out, [[0.25] * 4])
 
 
 def test_softmax_masked_entry_exactly_zero():
-    out = attention_softmax([[5.0, NEG_INF]])
+    out = _softmax(np.array([[5.0, NEG_INF]]))
     assert out[0, 0] == 1.0
     assert out[0, 1] == 0.0
 
 
 def test_softmax_hand_logistic():
-    out = attention_softmax([[1.0, 2.0]])
+    out = _softmax(np.array([[1.0, 2.0]]))
     np.testing.assert_allclose(out, [[0.26894, 0.73106]], atol=1e-5)
 
 
 def test_softmax_degenerate_row():
     with pytest.raises(ValueError, match="degenerate"):
-        attention_softmax([[NEG_INF, NEG_INF]])
+        _softmax(np.array([[NEG_INF, NEG_INF]]))
 
 
 def test_softmax_large_values_stable():
-    out = attention_softmax([[1000.0, 1000.0]])
+    out = _softmax(np.array([[1000.0, 1000.0]]))
     np.testing.assert_allclose(out, [[0.5, 0.5]])
 
 
@@ -135,7 +122,7 @@ def test_softmax_large_values_stable():
 def test_softmax_rows_sum_to_one(seed, r, c):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(r, c)) * 10
-    out = attention_softmax(x)
+    out = _softmax(x)
     np.testing.assert_allclose(out.sum(axis=1), np.ones(r), atol=1e-6)
     assert np.all(out >= 0)
 
@@ -349,10 +336,9 @@ OPS = {
     "slice_rows": lambda ts: _weighted(slice_rows(ts[0], [(1, 3)])),
     "slice_rows_overlapping": lambda ts: _weighted(slice_rows(ts[0], [(2, 4), (0, 3)])),
     # 2 heads of width 2
-    "attention": lambda ts: _weighted(attention(ts[0], [(4, build_causal_mask(4), None)], 2)),
+    "attention": lambda ts: _weighted(attention(ts[0], [(4, 0, None)], 2)),
     # two packed sequences of 2 rows, the second scoring its last row only
-    "attention_packed": lambda ts: _weighted(attention(
-        ts[0], [(2, build_prefix_mask(1, 1), None), (2, build_causal_mask(2)[1:], (1, 2))], 2)),
+    "attention_packed": lambda ts: _weighted(attention(ts[0], [(2, 1, None), (2, 0, (1, 2))], 2)),
 }
 
 
@@ -421,21 +407,19 @@ def test_gradcheck_embedding_rows():
     _check_op(build, [table])
 
 
-ATTENTION_MASKS = {
-    "causal": build_causal_mask(5),
-    "prefix": build_prefix_mask(2, 3),
-    "visible": np.zeros((5, 5)),
-}
+# source lengths of 5-row sequences: causal, prefix, and every key visible
+SOURCE_LENGTHS = {"causal": 0, "prefix": 2, "visible": 5}
 
 
-@pytest.mark.parametrize("mask_name", sorted(ATTENTION_MASKS))
+@pytest.mark.parametrize("rule", sorted(SOURCE_LENGTHS))
 @pytest.mark.parametrize("n_heads", [1, 2, 3, 4])
-def test_attention_matches_per_head_reference(n_heads, mask_name):
-    mask = ATTENTION_MASKS[mask_name]
+def test_attention_matches_per_head_reference(n_heads, rule):
+    m = SOURCE_LENGTHS[rule]
+    mask = build_prefix_mask(max(m, 1), 5 - max(m, 1))
     qkv = np.random.default_rng(n_heads).normal(size=(5, 36))  # d = 12
     w = np.random.default_rng(99).normal(size=(5, 12))
     results = []
-    for op in (lambda x: attention(x, [(5, mask, None)], n_heads),
+    for op in (lambda x: attention(x, [(5, m, None)], n_heads),
                lambda x: reference_attention(x, mask, n_heads)):
         leaf = t64(qkv, requires_grad=True)
         with ComputationTape():
@@ -447,18 +431,16 @@ def test_attention_matches_per_head_reference(n_heads, mask_name):
     np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("mask_name", sorted(ATTENTION_MASKS))
+@pytest.mark.parametrize("rule", sorted(SOURCE_LENGTHS))
 @pytest.mark.parametrize("start", [1, 2, 4])
-def test_cached_attention_matches_one_full_call(start, mask_name):
+def test_cached_attention_matches_one_full_call(start, rule):
     # 3 heads of width 4; the cache has room for 8 positions
-    mask = ATTENTION_MASKS[mask_name]
+    m = SOURCE_LENGTHS[rule]
     qkv = np.random.default_rng(start).normal(size=(5, 36))
     keys, values = np.full((3, 8, 4), np.nan), np.full((3, 8, 4), np.nan)
-    attention(t64(qkv[:start]), [(start, mask[:start, :start], None)], 3, (keys, values, 0))
-    rows_mask = None if mask_name == "visible" else mask[start:]
-    out = attention(t64(qkv[start:]), [(5 - start, rows_mask, None)], 3,
-                    (keys, values, start)).data
-    full = attention(t64(qkv), [(5, mask, None)], 3).data
+    attention(t64(qkv[:start]), [(start, min(m, start), None)], 3, (keys, values, 0))
+    out = attention(t64(qkv[start:]), [(5 - start, m, None)], 3, (keys, values, start)).data
+    full = attention(t64(qkv), [(5, m, None)], 3).data
     np.testing.assert_allclose(out, full[start:], rtol=0, atol=1e-12)
     # the cache holds the projection's keys and values, heads first
     k, v = (qkv[:, j * 12 : (j + 1) * 12].reshape(5, 3, 4).transpose(1, 0, 2) for j in (1, 2))
@@ -467,21 +449,21 @@ def test_cached_attention_matches_one_full_call(start, mask_name):
     assert np.isnan(keys[:, 5:]).all() and np.isnan(values[:, 5:]).all()
 
 
-@pytest.mark.parametrize("mask_name", sorted(ATTENTION_MASKS))
+@pytest.mark.parametrize("rule", sorted(SOURCE_LENGTHS))
 @pytest.mark.parametrize("rows", [(0, 5), (2, 4), (4, 5), (0, 1)])
-def test_attention_query_rows_match_full_call(rows, mask_name):
+def test_attention_query_rows_match_full_call(rows, rule):
     # queries from rows a:b, keys and values from all rows: the full call's
     # rows a:b, and its gradient when only those rows carry one
     a, b = rows
-    mask = ATTENTION_MASKS[mask_name]
+    m = SOURCE_LENGTHS[rule]
     qkv = np.random.default_rng(a * 7 + b).normal(size=(5, 36))
     w = np.zeros((5, 12))
     w[a:b] = np.random.default_rng(98).normal(size=(b - a, 12))
     results = []
-    for q_rows, q_mask, weight in ((rows, mask[a:b], w[a:b]), (None, mask, w)):
+    for q_rows, weight in ((rows, w[a:b]), (None, w)):
         leaf = t64(qkv, requires_grad=True)
         with ComputationTape():
-            out = attention(leaf, [(5, q_mask, q_rows)], 3)
+            out = attention(leaf, [(5, m, q_rows)], 3)
             backward(sum_all(mul(out, t64(weight))))
         results.append((out.data, leaf.grad))
     (out, grad), (full, full_grad) = results
@@ -496,42 +478,109 @@ def test_attention_query_rows_match_full_call(rows, mask_name):
 def test_cached_attention_query_rows(start):
     # a cached call writes keys and values for every new row and answers the
     # queries of its rows only
-    mask = build_prefix_mask(2, 3)
     qkv = np.random.default_rng(start).normal(size=(5, 36))
     keys, values = np.full((3, 8, 4), np.nan), np.full((3, 8, 4), np.nan)
-    attention(t64(qkv[:start]), [(start, mask[:start, :start], None)], 3, (keys, values, 0))
-    out = attention(t64(qkv[start:]), [(5 - start, mask[4:5], (4 - start, 5 - start))], 3,
+    attention(t64(qkv[:start]), [(start, min(2, start), None)], 3, (keys, values, 0))
+    out = attention(t64(qkv[start:]), [(5 - start, 2, (4 - start, 5 - start))], 3,
                     (keys, values, start))
-    full = attention(t64(qkv), [(5, mask, None)], 3).data
+    full = attention(t64(qkv), [(5, 2, None)], 3).data
     np.testing.assert_allclose(out.data, full[4:5], rtol=0, atol=1e-12)
     assert not np.isnan(keys[:, :5]).any() and np.isnan(keys[:, 5:]).all()
 
 
+@st.composite
+def _segments(draw):
+    """1-3 packed segments (n, m, rows) with n in [1, 9] and m in [0, n]."""
+    segments = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 9))
+        m = draw(st.integers(0, n))
+        rows = None
+        if draw(st.booleans()):
+            a = draw(st.integers(0, n - 1))
+            rows = (a, draw(st.integers(a + 1, n)))
+        segments.append((n, m, rows))
+    return segments
+
+
+@given(st.integers(0, 2**32 - 1), _segments(), st.sampled_from([1, 2]))
+@settings(max_examples=60, deadline=None)
+def test_attention_matches_dense_mask_oracle(seed, segments, n_heads):
+    # float64: the prefix rule of each segment's source length gives the
+    # output and qkv gradient of the per-head oracle, run per segment on the
+    # dense prefix mask of max(m, 1) (m = 0 and m = 1 are both causal)
+    rng = np.random.default_rng(seed)
+    t = sum(n for n, _, _ in segments)
+    qkv = rng.normal(size=(t, 3 * 4 * n_heads))
+    leaf = t64(qkv, requires_grad=True)
+    ref_leaf = t64(qkv, requires_grad=True)
+    with ComputationTape():
+        out = attention(leaf, segments, n_heads)
+        w = t64(rng.normal(size=out.shape))
+        backward(sum_all(mul(out, w)))
+    with ComputationTape():
+        loss, offset, r = None, 0, 0
+        for n, m, rows in segments:
+            a, b = (0, n) if rows is None else rows
+            first = max(m, 1)
+            x = slice_rows(ref_leaf, [(offset, offset + n)])
+            ref = slice_rows(reference_attention(x, build_prefix_mask(first, n - first), n_heads),
+                             [(a, b)])
+            np.testing.assert_allclose(out.data[r:r + b - a], ref.data, rtol=0, atol=1e-12)
+            part = sum_all(mul(ref, t64(w.data[r:r + b - a])))
+            loss = part if loss is None else add(loss, part)
+            offset, r = offset + n, r + b - a
+        backward(loss)
+    np.testing.assert_allclose(leaf.grad, ref_leaf.grad, rtol=0, atol=1e-12)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.data())
+@settings(max_examples=40, deadline=None)
+def test_cached_attention_matches_full_call_at_any_split(seed, n, data):
+    # one segment split at `start`: the cached call over the rows from start
+    # on answers as one full call does, for a source ending before or after
+    # start; the call up to start does too when the source ends by then
+    start = data.draw(st.integers(1, n - 1))
+    a = data.draw(st.integers(0, n - start - 1))
+    rows = (a, data.draw(st.integers(a + 1, n - start)))
+    qkv = np.random.default_rng(seed).normal(size=(n, 24))  # 2 heads of width 4
+    for m in (data.draw(st.integers(0, start)), data.draw(st.integers(start + 1, n))):
+        keys, values = np.full((2, 10, 4), np.nan), np.full((2, 10, 4), np.nan)
+        head = attention(t64(qkv[:start]), [(start, min(m, start), None)], 2,
+                         (keys, values, 0)).data
+        out = attention(t64(qkv[start:]), [(n - start, m, rows)], 2, (keys, values, start)).data
+        full = attention(t64(qkv), [(n, m, None)], 2).data
+        np.testing.assert_allclose(out, full[start + rows[0]:start + rows[1]],
+                                   rtol=0, atol=1e-12)
+        if m <= start:
+            np.testing.assert_allclose(head, full[:start], rtol=0, atol=1e-12)
+
+
 def test_attention_rejects_query_rows_mismatch():
     qkv = t64(np.zeros((4, 12)))
-    # rows 1:3 need a 2 x 4 mask, not the 4 x 4 mask of every row
-    with pytest.raises(ShapeError, match=r"\(2, 4\)"):
-        attention(qkv, [(4, np.zeros((4, 4)), (1, 3))], 2)
-    attention(qkv, [(4, np.zeros((2, 4)), (1, 3))], 2)
+    # the source may span every row, not more
+    with pytest.raises(ShapeError, match="source length 5"):
+        attention(qkv, [(4, 5, (1, 3))], 2)
+    with pytest.raises(ShapeError, match="source length -1"):
+        attention(qkv, [(4, -1, (1, 3))], 2)
+    attention(qkv, [(4, 4, (1, 3))], 2)
     for rows in ((2, 2), (3, 1), (-1, 2), (0, 5)):
         with pytest.raises(ShapeError, match="query rows"):
-            attention(qkv, [(4, None, rows)], 2)
+            attention(qkv, [(4, 0, rows)], 2)
 
 
 def test_attention_rejects_mismatched_shapes():
     qkv = t64(np.zeros((3, 12)))
     with pytest.raises(ShapeError):
-        attention(qkv, [(3, np.zeros((3, 3)), None)], 3)  # 12 columns are not 3 blocks of 3 heads
-    with pytest.raises(ShapeError):
-        attention(qkv, [(3, np.zeros((2, 2)), None)], 2)
+        attention(qkv, [(3, 0, None)], 3)  # 12 columns are not 3 blocks of 3 heads
     with pytest.raises(ShapeError, match="add up"):
-        attention(qkv, [(2, None, None), (2, None, None)], 2)
-    # after 2 cached positions the mask must be 3 x 5; the cache stays unwritten
+        attention(qkv, [(2, 0, None), (2, 0, None)], 2)
+    # after 2 cached positions the source may span 5 positions; the cache stays unwritten
     keys, values = np.full((2, 8, 3), np.nan), np.full((2, 8, 3), np.nan)
-    with pytest.raises(ShapeError, match=r"\(3, 5\)"):
-        attention(qkv, [(3, np.zeros((3, 3)), None)], 2, (keys, values, 2))
+    with pytest.raises(ShapeError, match="source length 6 out of range for 5"):
+        attention(qkv, [(3, 6, None)], 2, (keys, values, 2))
     with pytest.raises(ShapeError, match="one segment"):
-        attention(qkv, [(1, None, None), (2, None, None)], 2, (keys, values, 2))
+        attention(qkv, [(1, 0, None), (2, 0, None)], 2, (keys, values, 2))
     assert np.isnan(keys).all() and np.isnan(values).all()
 
 
@@ -563,5 +612,5 @@ def test_float64_preserved():
 def test_forward_values_finite_on_finite_inputs():
     rng = np.random.default_rng(0)
     x = t64(rng.normal(size=(4, 4)) * 50)
-    for out in (attention_softmax(x.data), relu(x).data, gelu(x).data):
+    for out in (_softmax(x.data), relu(x).data, gelu(x).data):
         assert np.all(np.isfinite(out))

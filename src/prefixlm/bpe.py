@@ -280,56 +280,27 @@ def train_merges(corpus, num_merges: int) -> Tokenizer:
 # ---------------------------------------------------------------------------
 
 
+# Each byte's text: printable ASCII as itself, TAB as \t, the backslash as \\
+# and every other byte as \xNN. _unescape also takes \xNN for printable
+# bytes and upper-case hex digits.
+_ESCAPES = [chr(b) if 0x20 <= b < 0x7F else f"\\x{b:02x}" for b in range(256)]
+_ESCAPES[0x09], _ESCAPES[0x5C] = "\\t", "\\\\"
+_UNESCAPES = {text: b for b, text in enumerate(_ESCAPES)}
+_PIECE = re.compile(r"[ -\[\]-~]|\\[\\t]|\\x[0-9a-fA-F]{2}")
+_ESCAPED = re.compile(f"(?:{_PIECE.pattern})*")
+
+
 def _escape(bs: bytes) -> str:
-    out = []
-    for b in bs:
-        if b == 0x5C:
-            out.append("\\\\")
-        elif b == 0x09:
-            out.append("\\t")
-        elif 0x20 <= b < 0x7F:
-            out.append(chr(b))
-        else:
-            out.append(f"\\x{b:02x}")
-    return "".join(out)
-
-
-_HEX_BYTE = re.compile("[0-9a-fA-F]{2}")
+    return "".join(_ESCAPES[b] for b in bs)
 
 
 def _unescape(s: str, where: str) -> bytes:
     """Inverse of _escape; errors are prefixed with `where` (path:line)."""
-    out = bytearray()
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch != "\\":
-            encoded = ch.encode("utf-8")
-            if len(encoded) != 1 or not 0x20 <= encoded[0] < 0x7F:
-                raise TokenizerFileError(
-                    f"{where}: unescaped non-printable character {ch!r}"
-                )
-            out.extend(encoded)
-            i += 1
-            continue
-        if i + 1 >= len(s):
-            raise TokenizerFileError(f"{where}: dangling escape")
-        nxt = s[i + 1]
-        if nxt == "\\":
-            out.append(0x5C)
-            i += 2
-        elif nxt == "t":
-            out.append(0x09)
-            i += 2
-        elif nxt == "x":
-            digits = s[i + 2 : i + 4]
-            if not _HEX_BYTE.fullmatch(digits):
-                raise TokenizerFileError(f"{where}: bad \\xNN escape in {s!r}")
-            out.append(int(digits, 16))
-            i += 4
-        else:
-            raise TokenizerFileError(f"{where}: unknown escape \\{nxt}")
-    return bytes(out)
+    if not _ESCAPED.fullmatch(s):
+        if not (s.isascii() and s.isprintable()):
+            raise TokenizerFileError(f"{where}: unescaped non-printable character in {s!r}")
+        raise TokenizerFileError(f"{where}: bad escape in {s!r}: expected \\\\, \\t or \\xNN")
+    return bytes(int(p[2:], 16) if len(p) == 4 else _UNESCAPES[p] for p in _PIECE.findall(s))
 
 
 def save_vocabulary(tokenizer: Tokenizer, vocab_path, merges_path):

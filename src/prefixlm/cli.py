@@ -159,16 +159,17 @@ def cmd_generate(args) -> int:
     checkpoint = args.checkpoint or cfg.checkpoint_path
     model, tokenizer = _model_from_config(cfg, checkpoint)
     examples = read_examples_jsonl(args.examples)
-    gen_config = GenerationConfig(n_hints=args.n_hints,
+    n_hints = cfg.n_hints if args.n_hints is None else args.n_hints
+    gen_config = GenerationConfig(n_hints=n_hints,
                                   max_new_tokens=args.max_new_tokens)
 
     # an example that cannot be generated (too long for max_positions, fewer
     # target words than hints) gets an empty output and its error, not the batch
     rows, failed = [], 0
     for example in examples:
-        row = {"pmid": example.pmid, "n_hints": args.n_hints, "output": ""}
+        row = {"pmid": example.pmid, "n_hints": n_hints, "output": ""}
         try:
-            hints, _ = split_hint_words(example.target_text, args.n_hints)
+            hints, _ = split_hint_words(example.target_text, n_hints)
             row["output"], _ = generate_greedy(model, example.source_text, hints,
                                                gen_config, tokenizer)
         except ValueError as e:
@@ -184,7 +185,7 @@ def cmd_generate(args) -> int:
     print(f"generated {len(rows) - failed} conclusions ({failed} failed) -> {args.out}")
     _write_manifest(args.out, "generate",
                     {"examples": args.examples, "checkpoint": checkpoint,
-                     "n_hints": args.n_hints},
+                     "n_hints": n_hints},
                     [args.out], seed=cfg.seed, config=args.config, started=started)
     return 0
 
@@ -278,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None,
                    help="weights file (default: config checkpoint_path)")
     p.add_argument("--examples", required=True, help="examples JSONL")
-    p.add_argument("--n-hints", type=int, default=0)
+    p.add_argument("--n-hints", type=int, default=None,
+                   help="hint words per prompt (default: config n_hints)")
     p.add_argument("--max-new-tokens", type=int, default=128)
     p.add_argument("--out", required=True, help="output JSONL")
     p.set_defaults(func=cmd_generate)

@@ -8,6 +8,7 @@ order) as the source and the CONCLUSIONS sentences as the target.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,12 +51,20 @@ class RctExample:
     target_sentences: int | None = None
 
 
+# bytes, line ending included: bounds the memory one line takes, far above
+# the longest line a file holds here (an examples line, one abstract: a few kB)
+_MAX_TEXT_LINE = 1 << 20
+
+
 def _text_lines(path, error):
     """(line number, line) for each line of a UTF-8 file, read one at a time
-    and without its \n or \r\n ending; a line that is not valid UTF-8
-    raises `error` naming path:line."""
+    and without its \n or \r\n ending; a line longer than _MAX_TEXT_LINE
+    bytes or not valid UTF-8 raises `error` naming path:line."""
     with open(path, "rb") as f:
-        for lineno, raw in enumerate(f, start=1):
+        raw_lines = iter(functools.partial(f.readline, _MAX_TEXT_LINE + 1), b"")
+        for lineno, raw in enumerate(raw_lines, start=1):
+            if len(raw) > _MAX_TEXT_LINE:
+                raise error(f"{path}:{lineno}: line longer than {_MAX_TEXT_LINE} bytes")
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as e:

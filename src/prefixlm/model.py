@@ -153,12 +153,11 @@ class ModelParams(dict):
 
 
 def build_causal_mask(t: int) -> np.ndarray:
-    """0 on and below the diagonal, -inf strictly above: no future peeking."""
+    """0 on and below the diagonal, -inf strictly above: no future peeking.
+    A prefix mask over a one-token source is exactly this."""
     if t < 1:
         raise ValueError("mask length must be >= 1")
-    m = np.zeros((t, t), dtype=np.float32)
-    m[np.triu_indices(t, k=1)] = NEG_INF
-    return m
+    return build_prefix_mask(1, t - 1)
 
 
 def build_prefix_mask(m: int, n: int) -> np.ndarray:

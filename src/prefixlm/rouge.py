@@ -12,6 +12,8 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 
+from .data import _text_lines
+
 __all__ = [
     "RougeScore",
     "AnnotationRecord",
@@ -194,21 +196,23 @@ def _read_csv(path, n_columns: int, make_record) -> list:
     records = []
     lineno = 0
 
-    def lines(f):  # decoded one line at a time, so errors know their line
+    def lines():
         nonlocal lineno
-        for lineno, raw in enumerate(f, start=1):
-            yield raw.decode("utf-8")
+        for lineno, line in _text_lines(path, ValueError):
+            yield line + "\n"
 
-    with open(path, "rb") as f:
-        try:
-            for row in csv.reader(lines(f)):
-                if not row or (lineno == 1 and row[0].strip().lower() == "system"):
-                    continue
+    try:
+        for row in csv.reader(lines()):
+            if not row or (lineno == 1 and row[0].strip().lower() == "system"):
+                continue
+            try:
                 if len(row) != n_columns:
                     raise ValueError(f"expected {n_columns} columns, got {len(row)}")
                 records.append(make_record(row))
-        except (csv.Error, ValueError) as e:
-            raise ValueError(f"{path}:{lineno}: {e}") from e
+            except ValueError as e:  # prefixed below; _text_lines' errors already are
+                raise csv.Error(e) from e
+    except csv.Error as e:
+        raise ValueError(f"{path}:{lineno}: {e}") from e
     return records
 
 

@@ -1,6 +1,7 @@
 """Independent oracles shared across the test suite.
 
-Nothing in here touches the library's dynamic programming or its tokenizer,
+Nothing in here touches the library's dynamic programming or its tokenizer
+(reference_unescape raises its TokenizerFileError, nothing more),
 and only reference_attention, reference_masked_loss and reference_step
 touch its backward pass (through tape ops that are gradchecked on their
 own); these exist so the tests can check the fast paths against slow,
@@ -11,11 +12,13 @@ scaling and softmax, recorded on the library's tape through its _wrap and
 _accumulate.
 """
 
+import re
 import unicodedata
 from collections import Counter
 
 import numpy as np
 
+from prefixlm.bpe import TokenizerFileError
 from prefixlm.model import build_prefix_mask
 from prefixlm.tensor import (
     ComputationTape,
@@ -200,6 +203,61 @@ def reference_merges(corpus, num_merges):
         merges.append(best)
         words = {unit: _merge_word(toks, best) for unit, toks in words.items()}
     return merges
+
+
+def reference_escape(bs: bytes) -> str:
+    """Token bytes as vocab/merges file text, one branch per byte kind."""
+    out = []
+    for b in bs:
+        if b == 0x5C:
+            out.append("\\\\")
+        elif b == 0x09:
+            out.append("\\t")
+        elif 0x20 <= b < 0x7F:
+            out.append(chr(b))
+        else:
+            out.append(f"\\x{b:02x}")
+    return "".join(out)
+
+
+_HEX_BYTE = re.compile("[0-9a-fA-F]{2}")
+
+
+def reference_unescape(s: str, where: str) -> bytes:
+    """Inverse of reference_escape, one character at a time; also takes
+    \\xNN for printable bytes and upper-case hex digits. Errors are
+    TokenizerFileError prefixed with `where`."""
+    out = bytearray()
+    i = 0
+    while i < len(s):
+        ch = s[i]
+        if ch != "\\":
+            encoded = ch.encode("utf-8")
+            if len(encoded) != 1 or not 0x20 <= encoded[0] < 0x7F:
+                raise TokenizerFileError(
+                    f"{where}: unescaped non-printable character {ch!r}"
+                )
+            out.extend(encoded)
+            i += 1
+            continue
+        if i + 1 >= len(s):
+            raise TokenizerFileError(f"{where}: dangling escape")
+        nxt = s[i + 1]
+        if nxt == "\\":
+            out.append(0x5C)
+            i += 2
+        elif nxt == "t":
+            out.append(0x09)
+            i += 2
+        elif nxt == "x":
+            digits = s[i + 2 : i + 4]
+            if not _HEX_BYTE.fullmatch(digits):
+                raise TokenizerFileError(f"{where}: bad \\xNN escape in {s!r}")
+            out.append(int(digits, 16))
+            i += 4
+        else:
+            raise TokenizerFileError(f"{where}: unknown escape \\{nxt}")
+    return bytes(out)
 
 
 def _columns(width, start, n):

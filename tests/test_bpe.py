@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_merges, reference_segment
+from oracles import reference_escape, reference_merges, reference_segment, reference_unescape
 from prefixlm.bpe import (
     END_OF_TEXT,
     SEPARATOR,
@@ -10,7 +10,9 @@ from prefixlm.bpe import (
     Vocabulary,
     VocabularyError,
     load_vocabulary,
+    _escape,
     _segment,
+    _unescape,
     save_vocabulary,
     train_merges,
 )
@@ -246,6 +248,43 @@ def test_overlapping_pairs_each_count():
     # "bbbb" holds three (b, b); counted without overlap it would hold two
     # and lose the tie against (a, b)
     assert train_merges(["bbbb", "ab", "ab"], 1).merges == [(b"b", b"b")]
+
+
+# escape characters, hex digits in both cases, printable ASCII, TAB, DEL,
+# another control byte and a character above ASCII
+ESCAPE_ALPHABET = "\\xt0123456789abcdefABCDEF gG~\t\x7f\x1f\u00e9"
+# the same characters, with escape starts made common
+ESCAPED_TEXT = st.one_of(
+    st.text(alphabet=ESCAPE_ALPHABET, max_size=12),
+    st.lists(st.one_of(st.sampled_from(["\\", "\\x", "\\t", "\\\\"]),
+                       st.text(alphabet=ESCAPE_ALPHABET, max_size=3)), max_size=6).map("".join),
+)
+
+
+@given(st.binary())
+@settings(max_examples=500, deadline=None)
+def test_escape_matches_reference(data):
+    assert _escape(data) == reference_escape(data)
+
+
+@given(ESCAPED_TEXT)
+@settings(max_examples=1000, deadline=None)
+def test_unescape_matches_reference(text):
+    where = "tokens.tsv:7"
+    try:
+        expected = reference_unescape(text, where)
+    except TokenizerFileError as e:
+        assert str(e).startswith(f"{where}: ")
+        with pytest.raises(TokenizerFileError, match=f"^{where}: "):
+            _unescape(text, where)
+    else:
+        assert _unescape(text, where) == expected
+
+
+@given(st.binary())
+@settings(max_examples=300, deadline=None)
+def test_unescape_inverts_escape(data):
+    assert _unescape(_escape(data), "tokens.tsv:1") == data
 
 
 # ---------------------------------------------------------------------------

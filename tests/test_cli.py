@@ -287,6 +287,22 @@ def test_generate_deterministic_across_runs(tmp_path, corpus_file):
     assert a.read_text() == b.read_text()
 
 
+def test_generate_takes_n_hints_from_the_config_by_default(tmp_path, corpus_file):
+    _, examples = _preprocess(tmp_path, corpus_file)
+    _, vocab, merges = _train_tokenizer(tmp_path, examples)
+    cfg = _write_config(tmp_path, examples, vocab, merges, steps=1)
+    _set_key(cfg, "n_hints", "1")
+    assert main(["finetune", "--config", str(cfg)]) == 0
+    gen = tmp_path / "gen.jsonl"
+    for flag, expected in (([], 1), (["--n-hints", "0"], 0)):  # an explicit flag wins
+        assert main(["generate", "--config", str(cfg), "--examples", str(examples),
+                     "--max-new-tokens", "4", "--out", str(gen), *flag]) == 0
+        rows = [json.loads(line) for line in gen.read_text().splitlines()]
+        assert [r["n_hints"] for r in rows] == [expected, expected]
+    manifest = json.loads((tmp_path / "gen.jsonl.manifest.json").read_text())
+    assert manifest["inputs"]["n_hints"] == "0"
+
+
 def test_finetune_rerun_same_seed_bit_identical_checkpoint(tmp_path, corpus_file):
     _, examples = _preprocess(tmp_path, corpus_file)
     _, vocab, merges = _train_tokenizer(tmp_path, examples)

@@ -3,6 +3,7 @@ import re
 import pytest
 from fixtures import serialize_corpus
 
+from prefixlm import data
 from prefixlm.data import (
     CorpusParseError,
     RctAbstract,
@@ -84,6 +85,17 @@ def test_parse_corpus_crlf_line_endings(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_bytes(FIXTURE.replace("\n", "\r\n").encode("utf-8"))
     assert parse_corpus(path) == parse_corpus(FIXTURE.splitlines())
+
+
+def test_text_lines_cap_counts_the_line_ending(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "_MAX_TEXT_LINE", 8)
+    path = tmp_path / "lines.txt"
+    path.write_bytes(b"1234567\n123456\r\n12345678")  # 8 bytes each, at the cap
+    assert list(data._text_lines(path, ValueError)) == [
+        (1, "1234567"), (2, "123456"), (3, "12345678")]
+    path.write_bytes(b"1234567\n12345678\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: line longer than 8"):
+        list(data._text_lines(path, ValueError))
 
 
 def test_parse_sentence_before_record():

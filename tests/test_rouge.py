@@ -312,8 +312,17 @@ def test_read_ratings_csv_errors_name_path_line(tmp_path, row, problem):
 def test_read_annotations_csv_bad_utf8_names_its_line(tmp_path):
     path = tmp_path / "ann.csv"
     path.write_bytes(b"system,example_id,verdict\ns,e1,TP\ns,e2,T\xffP\ns,e3,FN\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: .*utf-8"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: .*utf-8") as e:
         read_annotations_csv(path)
+    assert str(e.value).count(str(path)) == 1
+
+
+def test_read_annotations_csv_quoted_field_spans_a_crlf_break(tmp_path):
+    # lines are read without their ending, so the field holds \n, not \r\n
+    path = tmp_path / "ann.csv"
+    path.write_bytes(b'system,example_id,verdict\r\ns,"e\r\n1",TP\r\ns,e2,FN\r\n')
+    records = read_annotations_csv(path)
+    assert [r.example_id for r in records] == ["e\n1", "e2"]
 
 
 def test_reports_render():

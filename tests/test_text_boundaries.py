@@ -8,8 +8,10 @@ import tempfile
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from prefixlm import data
 from prefixlm.bpe import TokenizerFileError, load_vocabulary, save_vocabulary, train_merges
 from prefixlm.cli import _read_generated
 from prefixlm.data import (
@@ -182,18 +184,23 @@ def _saved_tokenizer_lines():
 _VOCAB_LINES, _MERGES_LINES = _saved_tokenizer_lines()
 
 
-def _read_tokenizer_file(lines, fixed_name, fixed_lines):
-    """_read of load_vocabulary on the lines as one of its two files and
-    the saved fixed_lines as the other, "vocab.tsv" or "merges.tsv"."""
-    with tempfile.TemporaryDirectory() as d:
-        fixed = Path(d) / fixed_name
+def _tokenizer_reader(fixed_name, fixed_lines):
+    """A reader that runs load_vocabulary on its path as one of the two files
+    and on fixed_lines, written next to it, as the other, "vocab.tsv" or
+    "merges.tsv"."""
+    def reader(path):
+        fixed = path.with_name(fixed_name)
         fixed.write_bytes(b"".join(line + b"\n" for line in fixed_lines))
+        files = (fixed, path) if fixed_name == "vocab.tsv" else (path, fixed)
+        return load_vocabulary(*files)
 
-        def reader(path):
-            files = (fixed, path) if fixed_name == "vocab.tsv" else (path, fixed)
-            return load_vocabulary(*files)
+    return reader
 
-        return _read(lines, reader, TokenizerFileError, whole_file_errors=True)
+
+def _read_tokenizer_file(lines, fixed_name, fixed_lines):
+    """_read of load_vocabulary on the lines as one of its two files."""
+    reader = _tokenizer_reader(fixed_name, fixed_lines)
+    return _read(lines, reader, TokenizerFileError, whole_file_errors=True)
 
 
 @settings(max_examples=200, deadline=None)
@@ -218,3 +225,25 @@ def test_vocabulary_reader_is_total(full_base, lines):
 def test_merges_reader_is_total(lines):
     tok = _read_tokenizer_file(_MERGES_LINES + lines, "vocab.tsv", _VOCAB_LINES)
     assert tok == [] or len(tok.merges) >= len(_MERGES_LINES)
+
+
+@pytest.mark.parametrize("reader, error", [
+    (parse_corpus, CorpusParseError),
+    (read_examples_jsonl, CorpusParseError),
+    (_read_generated, ValueError),
+    (parse_training_config, ConfigError),
+    (_tokenizer_reader("merges.tsv", []), TokenizerFileError),
+    (_tokenizer_reader("vocab.tsv", _VOCAB_LINES), TokenizerFileError),
+    (read_annotations_csv, ValueError),
+    (read_ratings_csv, ValueError),
+], ids=["corpus", "examples", "generated", "config", "vocab", "merges",
+        "annotations", "ratings"])
+def test_reader_refuses_an_over_long_line(monkeypatch, tmp_path, reader, error):
+    monkeypatch.setattr(data, "_MAX_TEXT_LINE", 64)
+    path = tmp_path / "input.txt"
+    # 65 bytes with the newline, one over; the trailing \xff shows the length
+    # is checked before the line is decoded
+    path.write_bytes(b"#" * 63 + b"\xff\n")
+    with pytest.raises(error) as e:
+        reader(path)
+    assert str(e.value) == f"{path}:1: line longer than 64 bytes"

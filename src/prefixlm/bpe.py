@@ -310,7 +310,9 @@ def save_vocabulary(tokenizer: Tokenizer, vocab_path, merges_path):
             f.write(f"{i}\t{_escape(tokenizer.vocab.token_of(i))}\n")
     with open(merges_path, "w", encoding="utf-8") as f:
         for left, right in tokenizer.merges:
-            f.write(f"{_escape(left)}\t{_escape(right)}\n")
+            line = f"{_escape(left)}\t{_escape(right)}"
+            # a line starting with # reads back as a comment
+            f.write(("\\x23" + line[1:] if line[0] == "#" else line) + "\n")
 
 
 def load_vocabulary(vocab_path, merges_path) -> Tokenizer:

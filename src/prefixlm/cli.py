@@ -67,8 +67,8 @@ def _blas():
     return {"name": blas.get("name"), "version": blas.get("version")}
 
 
-def _write_manifest(out_path, command: str, inputs: dict, outputs: list,
-                    seed=None, config=None, started=None):
+def _write_manifest(command: str, started: str, out_path, inputs: dict, outputs: list,
+                    seed=None, config=None):
     manifest = {
         "command": command,
         "config": str(config) if config else None,
@@ -92,10 +92,10 @@ def _write_manifest(out_path, command: str, inputs: dict, outputs: list,
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
+# Each command returns the fields of its manifest; main writes the manifest.
 
 
-def cmd_preprocess(args) -> int:
-    started = _now()
+def cmd_preprocess(args) -> dict:
     sections = tuple(s for s in args.sections.split(",") if s)
     abstracts = parse_corpus(args.corpus)
     examples, skipped = build_examples(abstracts, sections)
@@ -109,14 +109,11 @@ def cmd_preprocess(args) -> int:
     print(f"mean target: {stats['mean_target_words']} words"
           + (f" ({stats['mean_target_sentences']} sentences)"
              if stats["mean_target_sentences"] is not None else ""))
-    _write_manifest(args.out, "preprocess",
-                    {"corpus": args.corpus, "sections": args.sections},
-                    [args.out], started=started)
-    return 0
+    return dict(out_path=args.out, inputs={"corpus": args.corpus, "sections": args.sections},
+                outputs=[args.out])
 
 
-def cmd_train_tokenizer(args) -> int:
-    started = _now()
+def cmd_train_tokenizer(args) -> dict:
     examples = read_examples_jsonl(args.examples)
     if not examples:
         raise ValueError(f"{args.examples}: no examples to train on")
@@ -125,14 +122,12 @@ def cmd_train_tokenizer(args) -> int:
     save_vocabulary(tokenizer, args.out_vocab, args.out_merges)
     print(f"trained {len(tokenizer.merges)} merges; vocabulary size "
           f"{len(tokenizer.vocab)} (incl. specials)")
-    _write_manifest(args.out_vocab, "train-tokenizer",
-                    {"examples": args.examples, "num_merges": args.num_merges},
-                    [args.out_vocab, args.out_merges], started=started)
-    return 0
+    return dict(out_path=args.out_vocab,
+                inputs={"examples": args.examples, "num_merges": args.num_merges},
+                outputs=[args.out_vocab, args.out_merges])
 
 
-def cmd_finetune(args) -> int:
-    started = _now()
+def cmd_finetune(args) -> dict:
     cfg = parse_training_config(args.config)
 
     def log(step, loss):
@@ -141,9 +136,8 @@ def cmd_finetune(args) -> int:
     _, _, last_step = run_finetune(cfg, log=log)
     print(f"saved checkpoint at step {last_step} -> {cfg.checkpoint_path}")
     outputs = [cfg.checkpoint_path] + ([cfg.loss_log] if cfg.loss_log else [])
-    _write_manifest(cfg.checkpoint_path, "finetune", {"data": cfg.data_path},
-                    outputs, seed=cfg.seed, config=args.config, started=started)
-    return 0
+    return dict(out_path=cfg.checkpoint_path, inputs={"data": cfg.data_path},
+                outputs=outputs, seed=cfg.seed, config=args.config)
 
 
 def _model_from_config(cfg, checkpoint_path):
@@ -153,8 +147,7 @@ def _model_from_config(cfg, checkpoint_path):
     return Model(config, params), tokenizer
 
 
-def cmd_generate(args) -> int:
-    started = _now()
+def cmd_generate(args) -> dict:
     cfg = parse_training_config(args.config)
     checkpoint = args.checkpoint or cfg.checkpoint_path
     model, tokenizer = _model_from_config(cfg, checkpoint)
@@ -183,11 +176,9 @@ def cmd_generate(args) -> int:
             # model emits byte sequences that are not well-formed UTF-8
             f.write(json.dumps(row) + "\n")
     print(f"generated {len(rows) - failed} conclusions ({failed} failed) -> {args.out}")
-    _write_manifest(args.out, "generate",
-                    {"examples": args.examples, "checkpoint": checkpoint,
-                     "n_hints": n_hints},
-                    [args.out], seed=cfg.seed, config=args.config, started=started)
-    return 0
+    return dict(out_path=args.out,
+                inputs={"examples": args.examples, "checkpoint": checkpoint, "n_hints": n_hints},
+                outputs=[args.out], seed=cfg.seed, config=args.config)
 
 
 def _check_n_hints(obj):
@@ -200,14 +191,9 @@ def _read_generated(path):
     return read_jsonl(path, {"pmid": str, "output": str, "n_hints": int}, check=_check_n_hints)
 
 
-def cmd_score(args) -> int:
-    started = _now()
+def cmd_score(args) -> dict:
     generated = _read_generated(args.generated)
     references = read_examples_jsonl(args.references)
-    if len(generated) != len(references):
-        raise ValueError(
-            f"{len(generated)} generated lines but {len(references)} references"
-        )
     for (g_pmid, _, _), ref in zip(generated, references):
         if g_pmid != ref.pmid:
             raise ValueError(f"pmid mismatch: {g_pmid!r} vs {ref.pmid!r}")
@@ -216,14 +202,12 @@ def cmd_score(args) -> int:
     report = format_score_report({args.system: scores})
     print(report)
     Path(args.out).write_text(report + "\n", encoding="utf-8")
-    _write_manifest(args.out, "score",
-                    {"generated": args.generated, "references": args.references},
-                    [args.out], started=started)
-    return 0
+    return dict(out_path=args.out,
+                inputs={"generated": args.generated, "references": args.references},
+                outputs=[args.out])
 
 
-def cmd_eval_aggregate(args) -> int:
-    started = _now()
+def cmd_eval_aggregate(args) -> dict:
     if not args.annotations and not args.ratings:
         raise ValueError("provide --annotations and/or --ratings")
     sections = []
@@ -236,10 +220,9 @@ def cmd_eval_aggregate(args) -> int:
     report = "\n\n".join(sections)
     print(report)
     Path(args.out).write_text(report + "\n", encoding="utf-8")
-    _write_manifest(args.out, "eval-aggregate",
-                    {"annotations": args.annotations, "ratings": args.ratings},
-                    [args.out], started=started)
-    return 0
+    return dict(out_path=args.out,
+                inputs={"annotations": args.annotations, "ratings": args.ratings},
+                outputs=[args.out])
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        started = _now()
+        _write_manifest(args.command, started, **args.func(args))
+        return 0
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

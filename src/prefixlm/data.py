@@ -212,7 +212,8 @@ def write_examples_jsonl(examples, path):
 def read_jsonl(path, schema: dict, error=ValueError, check=None) -> list[tuple]:
     """The fields named by `schema` ({key: type}) of every nonblank line of a
     JSONL file, one tuple per line; a line that is not a JSON object with
-    fields of those types, or that `check(obj)` refuses with ValueError,
+    fields of those types, whose str fields are not UTF-8 text (surrogate
+    escapes of bytes allowed), or that `check(obj)` refuses with ValueError,
     raises `error` naming path:line."""
     rows = []
     for lineno, line in _text_lines(path, error):
@@ -225,6 +226,8 @@ def read_jsonl(path, schema: dict, error=ValueError, check=None) -> list[tuple]:
             for key, kind in schema.items():
                 if not isinstance(obj.get(key), kind):
                     raise TypeError(f"{key!r} is missing or not a {kind.__name__}")
+                if kind is str:  # text the tokenizer can encode (bpe._unit_bytes)
+                    obj[key].encode("utf-8", errors="surrogateescape")
             if check is not None:
                 check(obj)
         except (ValueError, TypeError, RecursionError) as e:

@@ -10,6 +10,7 @@ momentum and coupled weight decay.
 
 from __future__ import annotations
 
+import os
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -100,15 +101,10 @@ def prepare_example(
         raise ValueError("target text is empty")
     hints, rest = split_hint_words(example.target_text, n_hints)
     source_ids = encode_source(example.source_text, n_hints, tokenizer)
-    prefix_ids = tokenizer.encode(" ".join(hints)) if hints else []
-    if rest:
-        rest_text = " ".join(rest)
-        if hints:
-            rest_text = " " + rest_text
-        target_ids = tokenizer.encode(rest_text)
-    else:
-        target_ids = []
-    target_ids = target_ids + [tokenizer.vocab.end_of_text_id]
+    prefix_ids = tokenizer.encode(" ".join(hints))
+    # the rest follows the hints after a space, which BPE attaches to its first word
+    rest_text = (" " if hints and rest else "") + " ".join(rest)
+    target_ids = tokenizer.encode(rest_text) + [tokenizer.vocab.end_of_text_id]
     return EncodedExample(source_ids, prefix_ids, target_ids)
 
 
@@ -324,17 +320,21 @@ def parse_training_config(path) -> TrainingConfig:
 def _cut_loss_log(path: Path, step: int):
     """Start the loss log afresh, or on resume from `step` keep only its rows
     up to that step: a run that stopped after its last checkpoint may have
-    logged later steps, which the resumed run trains and logs again. Makes
+    logged later steps, which the resumed run trains and logs again. Row s
+    is appended before checkpoint s is written, so a row torn by a kill lies
+    past `step`, or has no comma when torn inside its step. The cut log
+    replaces the old one by rename, so a crash here tears no kept row. Makes
     the log's directory if it is missing."""
     rows = ["step,loss\n"]
     if step > 0 and path.exists():
-        with open(path, encoding="utf-8", errors="replace") as f:
-            for line in f:
-                field = line.partition(",")[0]
-                if field.isdecimal() and int(field) <= step and line.endswith("\n"):
-                    rows.append(line)
+        for _, line in _text_lines(path, ValueError):
+            field, comma, _ = line.partition(",")
+            if comma and field.isdecimal() and int(field) <= step:
+                rows.append(line + "\n")
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("".join(rows), encoding="utf-8")
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text("".join(rows), encoding="utf-8")
+    os.replace(tmp, path)
 
 
 def run_finetune(cfg: TrainingConfig, log=None):

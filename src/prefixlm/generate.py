@@ -53,7 +53,7 @@ def generate_greedy(
             f"got {len(hint_words)} hint words for n_hints={config.n_hints}"
         )
     source_ids = encode_source(source_text, config.n_hints, tokenizer)
-    prefix_ids = tokenizer.encode(" ".join(hint_words)) if hint_words else []
+    prefix_ids = tokenizer.encode(" ".join(hint_words))
     prompt = source_ids + prefix_ids
     # the last new token is emitted, never fed back in
     if len(prompt) + config.max_new_tokens - 1 > model.config.max_positions:

@@ -280,10 +280,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         )
     if eps <= 0:
         raise ValueError("layer_norm eps must be positive")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)  # population variance
+    centred = x.data - x.data.mean(axis=1, keepdims=True)
+    var = (centred * centred).mean(axis=1, keepdims=True)  # population variance
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = centred * inv
 
     def bw(g):
         _accumulate(beta, g.sum(axis=0))

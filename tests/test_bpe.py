@@ -301,6 +301,32 @@ def test_save_load_roundtrip(tmp_path, tok):
     assert len(loaded.vocab) == len(tok.vocab)
 
 
+# "#" leads a comment line in a merges file; TAB and "\\" are escaped in both files
+@given(st.lists(st.text(alphabet="#\t\\x\u00e9\u0416 ", max_size=10), min_size=1, max_size=6),
+       merge_counts)
+@settings(max_examples=200, deadline=None)
+def test_trained_tokenizer_survives_save_and_load(tmp_path_factory, corpus, k):
+    d = tmp_path_factory.mktemp("tok")
+    vp, mp = d / "vocab.tsv", d / "merges.tsv"
+    tok = train_merges(corpus, k)
+    save_vocabulary(tok, vp, mp)
+    loaded = load_vocabulary(vp, mp)
+    assert loaded.merges == tok.merges
+    assert [loaded.vocab.token_of(i) for i in range(len(loaded.vocab))] == \
+        [tok.vocab.token_of(i) for i in range(len(tok.vocab))]
+    for text in corpus:
+        assert loaded.encode(text) == tok.encode(text)
+
+
+def test_merge_of_a_leading_hash_is_written_escaped(tmp_path):
+    vp, mp = tmp_path / "vocab.tsv", tmp_path / "merges.tsv"
+    tok = train_merges(["x##", "y##", "z##"], 1)
+    assert tok.merges == [(b"#", b"#")]
+    save_vocabulary(tok, vp, mp)
+    assert mp.read_text(encoding="utf-8") == "\\x23\t#\n"
+    assert load_vocabulary(vp, mp).encode("x##") == [120, 256]
+
+
 def test_duplicate_merge_pair_rejected(tmp_path):
     vp, mp = tmp_path / "vocab.tsv", tmp_path / "merges.tsv"
     save_vocabulary(train_merges(["low low lower"], 2), vp, mp)

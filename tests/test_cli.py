@@ -153,6 +153,9 @@ def test_preprocess_parse_error_names_path_and_line(tmp_path, capsys):
     ('{"pmid": "1", "source": 5, "target": "t", "sections_used": []}', "'source'"),
     ('{"pmid": "1", "source": "s", "target": "t", "sections_used": "x"}',
      "'sections_used'"),
+    # a lone surrogate that is no escaped byte
+    ('{"pmid": "1", "source": "\\ud800", "target": "t", "sections_used": []}',
+     "surrogates not allowed"),
 ])
 def test_bad_examples_line_exit_2(tmp_path, capsys, line, problem):
     examples = tmp_path / "examples.jsonl"
@@ -169,6 +172,7 @@ def test_bad_examples_line_exit_2(tmp_path, capsys, line, problem):
     "[1]",
     '{"pmid": "100", "n_hints": "x", "output": "o"}',
     '{"pmid": "100", "n_hints": 0, "output": null}',
+    '{"pmid": "100", "n_hints": 0, "output": "\\ud800"}',
 ])
 def test_bad_generated_line_exit_2(tmp_path, corpus_file, capsys, line):
     _, examples = _preprocess(tmp_path, corpus_file)
@@ -429,13 +433,25 @@ def test_generate_vocab_not_utf8_names_path_and_line(tmp_path, corpus_file, caps
     assert f"{vocab}:67: line is not valid UTF-8" in capsys.readouterr().err
 
 
-def test_score_length_mismatch_exit_2(tmp_path, corpus_file):
+def test_score_length_mismatch_exit_2(tmp_path, corpus_file, capsys):
     _, examples = _preprocess(tmp_path, corpus_file)
     gen = tmp_path / "gen.jsonl"
     gen.write_text('{"pmid": "100", "n_hints": 0, "output": "only one"}\n',
                    encoding="utf-8")
     assert main(["score", "--generated", str(gen), "--references", str(examples),
                  "--out", str(tmp_path / "r.txt")]) == 2
+    assert "error: 1 outputs but 2 references" in capsys.readouterr().err
+
+
+def test_score_reads_output_holding_escaped_bytes(tmp_path, corpus_file):
+    # generate writes bytes an undertrained model emits that are not UTF-8
+    # as surrogate escapes, \udc80-\udcff
+    _, examples = _preprocess(tmp_path, corpus_file)
+    gen = tmp_path / "gen.jsonl"
+    gen.write_text('{"pmid": "100", "n_hints": 0, "output": "Drug A \\udcff"}\n'
+                   '{"pmid": "200", "n_hints": 0, "output": "no benefit"}\n', encoding="utf-8")
+    assert main(["score", "--generated", str(gen), "--references", str(examples),
+                 "--out", str(tmp_path / "r.txt")]) == 0
 
 
 def test_eval_aggregate_tables(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 from dataclasses import fields, replace
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prefixlm import finetune
+from prefixlm import data, finetune
 from prefixlm.bpe import save_vocabulary, train_merges
 from prefixlm.data import RctExample, write_examples_jsonl
 from prefixlm.finetune import (
@@ -607,6 +608,30 @@ def test_resume_logs_each_step_once(tmp_path, tok):
     rows = log.read_text(encoding="utf-8").splitlines()
     assert [row.split(",")[0] for row in rows] == ["step", "1", "2", "3", "4"]
     assert rows[:4] == crashed  # the resumed run repeats step 3 exactly
+
+
+def _loss_rows(steps):
+    return "step,loss\n" + "".join(f"{s},0.{s:06d}\n" for s in range(1, steps + 1))
+
+
+# a kill tears a row past the last checkpoint: after its comma, or inside
+# its step digits ("1" of "12,..."), where the torn step alone is <= 11
+@pytest.mark.parametrize("torn", ["12,0.00", "1"])
+def test_resume_drops_a_torn_last_row(tmp_path, torn):
+    log = tmp_path / "loss.csv"
+    log.write_text(_loss_rows(11) + torn, encoding="utf-8")
+    finetune._cut_loss_log(log, 11)
+    assert log.read_text(encoding="utf-8") == _loss_rows(11)
+    assert list(tmp_path.iterdir()) == [log]
+
+
+def test_resume_refuses_an_overlong_loss_row(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "_MAX_TEXT_LINE", 16)
+    log = tmp_path / "loss.csv"
+    log.write_text(_loss_rows(2) + "3," + "0" * 20 + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(log))}:4: line longer than 16"):
+        finetune._cut_loss_log(log, 3)
+    assert log.read_text(encoding="utf-8").startswith(_loss_rows(2))
 
 
 @pytest.mark.parametrize("steps, checkpoint_every, saved", [

@@ -9,6 +9,7 @@ results can be reproduced from recorded inputs and seeds. Exit codes:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import platform
@@ -51,10 +52,29 @@ from .rouge import (
 VERSION_STRING = f"prefixlm-{__version__}"
 # checkpoints are bit-identical across reruns only at a fixed BLAS thread count
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the thread-count getter of the OpenBLAS that numpy 2 wheels bundle in numpy.libs
+_BLAS_THREAD_GETTER = "scipy_openblas_get_num_threads64_"
 
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
+
+
+def _blas_thread_count():
+    """The thread count of the OpenBLAS bundled with numpy, asked of the
+    loaded library through ctypes, or None when the library or its getter is
+    not found."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))  # the copy numpy already loaded
+        except OSError:
+            continue
+        getter = getattr(lib, _BLAS_THREAD_GETTER, None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter()
+    return None
 
 
 def _blas():
@@ -82,6 +102,7 @@ def _write_manifest(command: str, started: str, out_path, inputs: dict, outputs:
         "numpy": np.__version__,
         "blas": _blas(),
         "blas_threads": {v: os.environ.get(v) for v in _BLAS_THREAD_VARS},
+        "blas_thread_count": _blas_thread_count(),
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }

@@ -200,7 +200,8 @@ def block_forward(
     """
     qkv = matmul(layer_norm(x, block["ln1.weight"], block["ln1.bias"], LN_EPS),
                  block["attn_qkv.weight"])
-    if any(rows is not None for _, _, rows in segments):
+    # copied only when some segment leaves rows out: not for a decode step's one row
+    if any(rows is not None and rows[1] - rows[0] < n for n, _, rows in segments):
         x = slice_rows(x, query_ranges(segments))
     h = add(matmul(attention(qkv, segments, n_heads, cache), block["attn_out.weight"]), x)
     hidden = layer_norm(h, block["ln2.weight"], block["ln2.bias"], LN_EPS)

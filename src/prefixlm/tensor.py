@@ -148,11 +148,13 @@ def _accumulate(t: Tensor, g: np.ndarray, rows=None):
 
 
 def _wrap(data: np.ndarray, inputs, backward_fn) -> Tensor:
-    """Make an op output, recording it when grads are live."""
-    out = Tensor(data)
+    """Make an op output, recording it when grads are live. `data` is already
+    a float32 or float64 array, so Tensor.__init__'s conversion is skipped."""
+    out = object.__new__(Tensor)
+    out.data, out.grad, out.tape = data, None, None
     tape = _active_tape
-    if tape is not None and any(i.requires_grad for i in inputs):
-        out.requires_grad = True
+    out.requires_grad = tape is not None and any(i.requires_grad for i in inputs)
+    if out.requires_grad:
         out.tape = tape
         tape._records.append((out, inputs, backward_fn))
     return out
@@ -187,21 +189,22 @@ def backward(loss: Tensor):
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of a [m x k] and b [k x n]."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
+    x, y = a.data, b.data
+    if x.ndim != 2 or y.ndim != 2:
+        raise ShapeError(f"matmul needs 2-d operands, got {x.shape} and {y.shape}")
+    if x.shape[1] != y.shape[0]:
+        raise ShapeError(f"matmul inner extents differ: {x.shape} x {y.shape}")
 
     def bw(g):
         _accumulate(a, g @ b.data.T)
         _accumulate(b, a.data.T @ g)
 
-    return _wrap(a.data @ b.data, (a, b), bw)
+    return _wrap(x @ y, (a, b), bw)
 
 
 def transpose(a: Tensor) -> Tensor:
     """The transposed view of a [m x n]; shares memory with its operand."""
-    if a.ndim != 2:
+    if a.data.ndim != 2:
         raise ShapeError(f"transpose needs a 2-d operand, got {a.shape}")
 
     def bw(g):
@@ -212,17 +215,18 @@ def transpose(a: Tensor) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; also broadcasts b [c] over the rows of a [r x c]."""
-    if a.shape == b.shape:
+    x, y = a.data, b.data
+    if x.shape == y.shape:
         def bw(g):
             _accumulate(a, g)
             _accumulate(b, g)
-    elif a.ndim == 2 and b.ndim == 1 and b.shape[0] == a.shape[1]:
+    elif x.ndim == 2 and y.ndim == 1 and y.shape[0] == x.shape[1]:
         def bw(g):
             _accumulate(a, g)
             _accumulate(b, g.sum(axis=0))
     else:
-        raise ShapeError(f"add shapes incompatible: {a.shape} + {b.shape}")
-    return _wrap(a.data + b.data, (a, b), bw)
+        raise ShapeError(f"add shapes incompatible: {x.shape} + {y.shape}")
+    return _wrap(x + y, (a, b), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +265,7 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     entirely -inf has no valid distribution and raises.
     """
     m = x.max(axis=-1, keepdims=True)
-    if np.any(np.isneginf(m)):
+    if (m == -np.inf).any():
         raise ValueError("softmax: row is entirely -inf (degenerate row)")
     e = x - m
     np.exp(e, out=e)
@@ -269,19 +273,26 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e
 
 
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=1, keepdims=True), bit for bit, without ndarray.mean's
+    Python wrapper: the same row sums, divided by the row length."""
+    return np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row normalization to mean 0 / variance 1, then scale and shift."""
-    if x.ndim != 2:
-        raise ShapeError(f"layer_norm needs a 2-d operand, got {x.shape}")
-    d = x.shape[1]
-    if gamma.shape != (d,) or beta.shape != (d,):
+    data = x.data
+    if data.ndim != 2:
+        raise ShapeError(f"layer_norm needs a 2-d operand, got {data.shape}")
+    d = data.shape[1]
+    if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError(
             f"layer_norm gamma/beta must be ({d},), got {gamma.shape}/{beta.shape}"
         )
     if eps <= 0:
         raise ValueError("layer_norm eps must be positive")
-    centred = x.data - x.data.mean(axis=1, keepdims=True)
-    var = (centred * centred).mean(axis=1, keepdims=True)  # population variance
+    centred = data - _row_mean(data)
+    var = _row_mean(centred * centred)  # population variance
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centred * inv
 
@@ -289,8 +300,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         _accumulate(beta, g.sum(axis=0))
         _accumulate(gamma, (g * xhat).sum(axis=0))
         dxhat = g * gamma.data
-        row_mean = dxhat.mean(axis=1, keepdims=True)
-        row_proj = (dxhat * xhat).mean(axis=1, keepdims=True)
+        row_mean = _row_mean(dxhat)
+        row_proj = _row_mean(dxhat * xhat)
         _accumulate(x, inv * (dxhat - row_mean - xhat * row_proj))
 
     return _wrap(xhat * gamma.data + beta.data, (x, gamma, beta), bw)
@@ -377,15 +388,16 @@ def attention(qkv: Tensor, segments, n_heads: int, cache=None) -> Tensor:
     off the tape. The backward keeps only the softmax weights besides its
     operand, and its query gradient is zero outside the query rows.
     """
-    if qkv.ndim != 2 or qkv.shape[1] % (3 * n_heads):
-        raise ShapeError(f"attention needs [t x 3*d] with {n_heads} heads, got {qkv.shape}")
-    t = qkv.shape[0]
+    data = qkv.data
+    if data.ndim != 2 or data.shape[1] % (3 * n_heads):
+        raise ShapeError(f"attention needs [t x 3*d] with {n_heads} heads, got {data.shape}")
+    t = data.shape[0]
     if not segments or sum(n for n, _, _ in segments) != t:
         raise ShapeError(f"segment lengths {[n for n, _, _ in segments]} "
                          f"do not add up to {t} rows")
     if cache is not None and len(segments) != 1:
         raise ShapeError("a cached attention call takes one segment")
-    q, k, v = _split_heads(qkv.data, n_heads)
+    q, k, v = _split_heads(data, n_heads)
     c = 1.0 / math.sqrt(q.shape[2])
     start = 0 if cache is None else cache[2]
     parts, heads, offset, cut = [], [], 0, False
@@ -404,7 +416,7 @@ def attention(qkv: Tensor, segments, n_heads: int, cache=None) -> Tensor:
             ks, vs = keys[:, :s], values[:, :s]
         qs = q[:, offset + a:offset + b]
         scores = np.matmul(qs, ks.transpose(0, 2, 1))
-        scores *= np.asarray(c, dtype=scores.dtype)
+        scores *= c  # a Python float takes the scores' dtype
         if max(m, start + a + 1) < s:  # the first query row has a hidden key
             # key j >= m is hidden from the query at position p when j > p
             np.copyto(scores[..., m:], -np.inf,
@@ -447,7 +459,8 @@ def embedding_rows(table: Tensor, ids) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1:
         raise ShapeError(f"ids must be 1-d, got shape {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+    # one pass for both bounds: a negative id read as uint64 is at least 2**63
+    if ids.size and ids.view(np.uint64).max() >= table.data.shape[0]:
         raise ValueError("embedding_rows: id out of range")
 
     def bw(g):
@@ -459,9 +472,9 @@ def embedding_rows(table: Tensor, ids) -> Tensor:
 def slice_rows(x: Tensor, ranges) -> Tensor:
     """The rows of each (start, stop) range of `ranges`, stacked in order.
     Ranges may overlap; gradients add back into every row they took."""
-    ranges = list(ranges)
+    ranges, n = list(ranges), x.data.shape[0]
     for start, stop in ranges:
-        if not (0 <= start <= stop <= x.shape[0]):
+        if not (0 <= start <= stop <= n):
             raise ShapeError(f"row slice [{start}:{stop}] out of range for {x.shape}")
 
     def bw(g):

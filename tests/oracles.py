@@ -9,7 +9,8 @@ obviously-correct computations. The tape ops mul, scale, sum_all and
 softmax_rows live here, not in the library, which never calls them: they
 are gradcheck instruments and reference_attention's and reference_step's
 scaling and softmax, recorded on the library's tape through its _wrap and
-_accumulate.
+_accumulate. reference_layer_norm, recorded the same way, is the layer norm
+in the ndarray.mean form that the library's _row_mean replaced.
 """
 
 import re
@@ -63,7 +64,7 @@ def sum_all(a):
     def bw(g):
         _accumulate(a, np.broadcast_to(g, a.shape))
 
-    return _wrap(a.data.sum(), (a,), bw)
+    return _wrap(np.asarray(a.data.sum()), (a,), bw)
 
 
 def softmax_rows(x):
@@ -75,6 +76,25 @@ def softmax_rows(x):
         _accumulate(x, s * (g - (g * s).sum(axis=1, keepdims=True)))
 
     return _wrap(s, (x,), bw)
+
+
+def reference_layer_norm(x, gamma, beta, eps):
+    """tensor.layer_norm with its row means taken by ndarray.mean, the form
+    the library's _row_mean replaces."""
+    centred = x.data - x.data.mean(axis=1, keepdims=True)
+    var = (centred * centred).mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centred * inv
+
+    def bw(g):
+        _accumulate(beta, g.sum(axis=0))
+        _accumulate(gamma, (g * xhat).sum(axis=0))
+        dxhat = g * gamma.data
+        row_mean = dxhat.mean(axis=1, keepdims=True)
+        row_proj = (dxhat * xhat).mean(axis=1, keepdims=True)
+        _accumulate(x, inv * (dxhat - row_mean - xhat * row_proj))
+
+    return _wrap(xhat * gamma.data + beta.data, (x, gamma, beta), bw)
 
 
 def finite_difference_grads(f, arrays, h=1e-5):

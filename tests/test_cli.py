@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from prefixlm import cli
 from prefixlm.cli import main
 from prefixlm.data import RctExample, read_examples_jsonl, write_examples_jsonl
 from prefixlm.model import read_tensor_map
@@ -100,9 +101,18 @@ def test_manifest_records_environment(tmp_path, corpus_file, monkeypatch):
     assert set(threads) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
     assert threads["OPENBLAS_NUM_THREADS"] == "1"
     assert threads["MKL_NUM_THREADS"] is None
+    assert manifest["blas_thread_count"] == 1  # the root conftest.py's setting
     assert manifest["peak_rss_mb"] > 0
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
+
+
+def test_manifest_blas_thread_count_is_null_without_a_getter(tmp_path, corpus_file,
+                                                            monkeypatch):
+    monkeypatch.setattr(cli, "_BLAS_THREAD_GETTER", "no_such_getter")
+    _preprocess(tmp_path, corpus_file)
+    manifest = json.loads((tmp_path / "examples.jsonl.manifest.json").read_text())
+    assert manifest["blas_thread_count"] is None
 
 
 def test_preprocess_results_only_ablation(tmp_path, corpus_file):

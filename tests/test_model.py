@@ -473,6 +473,37 @@ def test_forward_rows_match_forward_slice(n_layers, rows):
     np.testing.assert_allclose(out, full[rows[0]:rows[1]], rtol=0, atol=1e-5)
 
 
+def _logits_and_grads(model, segments):
+    """forward_rows' logits, and every parameter's gradient of their
+    cross-entropy against fixed targets."""
+    model.params.zero_grads()
+    with ComputationTape():
+        logits = model.forward_rows(segments)
+        targets = np.arange(logits.shape[0]) % model.config.vocab_size
+        backward(cross_entropy(logits, targets))
+    return [logits.data] + [p.grad for p in model.params.values()]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("full, same", [
+    # alone
+    ([([3, 1, 4, 1, 5, 9], 3, (0, 6))], [([3, 1, 4, 1, 5, 9], 3, None)]),
+    # packed, every row of each segment asked for
+    ([([3, 1, 4, 1], 2, (0, 4)), ([5, 9, 2], 0, (0, 3))],
+     [([3, 1, 4, 1], 2, None), ([5, 9, 2], 0, None)]),
+    # packed beside a segment that asks for some of its rows
+    ([([3, 1, 4, 1], 2, (0, 4)), ([5, 9, 2, 6], 1, (1, 4))],
+     [([3, 1, 4, 1], 2, None), ([5, 9, 2, 6], 1, (1, 4))]),
+])
+def test_forward_rows_all_rows_given_as_a_range_match_none(dtype, full, same):
+    """rows=(0, n) is rows=None bit for bit, logits and gradients: the last
+    block slices its input only when some segment leaves rows out."""
+    model = Model(TINY, init_params(TINY, seed=35, dtype=dtype))
+    for got, want in zip(_logits_and_grads(model, full), _logits_and_grads(model, same)):
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+
+
 def test_forward_rows_reject_source_longer_than_sequence():
     with pytest.raises(ShapeError, match="source length 4"):
         tiny_model().forward_rows([([1, 2, 3], 4, (1, 3))])

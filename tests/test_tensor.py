@@ -9,6 +9,7 @@ from oracles import (
     grad_error,
     mul,
     reference_attention,
+    reference_layer_norm,
     scale,
     softmax_rows,
     sum_all,
@@ -112,6 +113,15 @@ def test_softmax_degenerate_row():
         _softmax(np.array([[NEG_INF, NEG_INF]]))
 
 
+def test_softmax_degenerate_row_beside_a_nan_row():
+    # the row maxima are [nan, -inf]: their min is nan, not -inf, so a check
+    # through min() would let the all -inf row through
+    with pytest.raises(ValueError, match="degenerate"):
+        _softmax(np.array([[np.nan, 0.0], [NEG_INF, NEG_INF]]))
+    with pytest.raises(ValueError, match="degenerate"):
+        _softmax(np.array([[[NEG_INF, NEG_INF]], [[1.0, np.nan]]], dtype=np.float32))
+
+
 def test_softmax_large_values_stable():
     out = _softmax(np.array([[1000.0, 1000.0]]))
     np.testing.assert_allclose(out, [[0.5, 0.5]])
@@ -166,6 +176,30 @@ def test_layer_norm_row_moments(seed, r, d):
     # (x - mu) / sqrt(v + eps) has variance v / (v + eps), not exactly 1
     v = x.var(axis=1)
     np.testing.assert_allclose(out.var(axis=1), v / (v + eps), rtol=0, atol=1e-6)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([np.float32, np.float64]),
+       st.integers(1, 469), st.integers(2, 256), st.integers(-3, 3))
+@settings(max_examples=60, deadline=None)
+@example(0, np.float32, 469, 64, 0)
+@example(1, np.float64, 1, 256, 0)
+def test_layer_norm_matches_mean_oracle(seed, dtype, rows, width, log_scale):
+    """Output and all three gradients are bit-equal to the ndarray.mean form."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, width)) * 10.0**log_scale + rng.normal(0.0, 10.0)
+    gamma, beta = rng.normal(size=width), rng.normal(size=width)
+    g = Tensor(rng.normal(size=(rows, width)), dtype=dtype)
+    results = []
+    for op in (layer_norm, reference_layer_norm):
+        ts = [Tensor(a, requires_grad=True, dtype=dtype) for a in (x, gamma, beta)]
+        with ComputationTape():
+            out = op(*ts, eps=1e-5)
+            loss = sum_all(mul(out, g))  # out's gradient is exactly g
+        backward(loss)
+        results.append([out.data] + [t.grad for t in ts])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
 
 
 def test_layer_norm_rejects_bad_eps():

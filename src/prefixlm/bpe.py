@@ -8,9 +8,10 @@ a one-letter category code and splits the code string with one regular
 expression. All 256 single bytes are always in the vocabulary, which
 makes every byte string encodable.
 
-Merge training counts pairs once and then updates the counts of only the
-words a merge touches, so a merge costs time in proportion to the words
-holding its pair, not to the whole corpus.
+Training and encoding work on lists of token ids and share `_merge`. A
+training merge changes only the pair counts beside its sites, so it costs
+time in proportion to them, not to the corpus; encoding looks id pairs up
+in one table from `(id_a, id_b)` to the merge's rank and product id.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import heapq
 import re
 import unicodedata
 from collections import Counter
+from itertools import repeat
 
 from .data import _text_lines
 
@@ -127,45 +129,48 @@ def _segment(text) -> list[str]:
     return units
 
 
-def _unit_bytes(unit: str) -> list[bytes]:
-    """The unit's UTF-8 bytes, surrogate escapes restored, one part each."""
-    return [bytes([b]) for b in unit.encode("utf-8", errors="surrogateescape")]
-
-
-def _merge_word(word, pair):
-    """Replace adjacent occurrences of pair, scanning left to right."""
-    merged = pair[0] + pair[1]
-    out = []
+def _merge(word: list[int], a: int, b: int, ab: int) -> list[int]:
+    """Replace each adjacent (a, b) in `word` by `ab`, in place, scanning left
+    to right; returns the positions of the new `ab` ids."""
+    sites = []
     i = 0
-    while i < len(word):
-        if i + 1 < len(word) and word[i] == pair[0] and word[i + 1] == pair[1]:
-            out.append(merged)
-            i += 2
-        else:
-            out.append(word[i])
-            i += 1
-    return out
+    last = len(word) - 1
+    while i < last:
+        if word[i] == a and word[i + 1] == b:
+            word[i : i + 2] = (ab,)
+            sites.append(i)
+            last -= 1
+        i += 1
+    return sites
+
+
+# Distinct units `Tokenizer.encode` remembers before it starts its cache over.
+_UNIT_CACHE_SIZE = 1 << 17
+_NO_MERGE = (float("inf"), 0, 0, 0)
 
 
 class Tokenizer:
     """A vocabulary plus merge pairs, applied in list order (index = rank).
 
     Both are fixed after construction. `encode` memoizes the ids of each
-    distinct unit in a cache keyed by the unit string; concurrent calls may
-    fill it in any order without changing what they return.
+    distinct unit, up to _UNIT_CACHE_SIZE of them before it starts over;
+    concurrent calls may fill it in any order without changing the ids.
     """
 
     def __init__(self, vocab: Vocabulary, merges):
         self.vocab = vocab
         self.merges = [(bytes(a), bytes(b)) for a, b in merges]
-        self._ranks: dict[tuple[bytes, bytes], int] = {}
+        # (id_a, id_b) -> (rank, id_a, id_b, id_ab): the lowest a word finds merges next
+        self._ranks: dict[tuple[int, int], tuple[int, int, int, int]] = {}
         for pair in self.merges:
-            for part in (*pair, b"".join(pair)):
-                if part not in vocab:
-                    raise TokenizerFileError(f"merge part {part!r} is not in the vocabulary")
-            if pair in self._ranks:
+            try:
+                a, b, ab = map(vocab.id_of, (*pair, b"".join(pair)))
+            except VocabularyError as e:
+                raise TokenizerFileError(f"merge {pair!r}: {e}") from None
+            if (a, b) in self._ranks:
                 raise TokenizerFileError(f"duplicate merge pair {pair!r}")
-            self._ranks[pair] = len(self._ranks)
+            self._ranks[a, b] = (len(self._ranks), a, b, ab)
+        self._byte_ids = [vocab.id_of(bytes([x])) for x in range(256)]
         self._unit_cache: dict[str, list[int]] = {}
 
     # -- encoding -----------------------------------------------------------
@@ -176,20 +181,21 @@ class Tokenizer:
         for unit in _segment(text):
             cached = self._unit_cache.get(unit)
             if cached is None:
+                if len(self._unit_cache) >= _UNIT_CACHE_SIZE:
+                    self._unit_cache.clear()
                 cached = self._unit_cache[unit] = self._bpe(unit)
             ids.extend(cached)
         return ids
 
     def _bpe(self, unit: str) -> list[int]:
-        """Ids of one unit: apply the lowest-ranked adjacent pair until none is left."""
-        word = _unit_bytes(unit)
-        ranks = self._ranks
+        """Ids of one unit: merge the lowest-ranked adjacent pair until none is left."""
+        word = [*map(self._byte_ids.__getitem__, unit.encode("utf-8", errors="surrogateescape"))]
         while len(word) > 1:
-            best = min(zip(word, word[1:]), key=lambda p: ranks.get(p, len(ranks)))
-            if best not in ranks:
+            best = min(map(self._ranks.get, zip(word, word[1:]), repeat(_NO_MERGE)))
+            if best is _NO_MERGE:
                 break
-            word = _merge_word(word, best)
-        return [self.vocab.id_of(token) for token in word]
+            _merge(word, *best[1:])
+        return word
 
     # -- decoding -----------------------------------------------------------
 
@@ -204,11 +210,13 @@ class Tokenizer:
 def train_merges(corpus, num_merges: int) -> Tokenizer:
     """Learn `num_merges` greedy highest-frequency merges from `corpus`.
 
-    Each distinct unit is a word weighted by its count; every adjacent pair
-    counts, overlapping ones too (`aaa` holds two `(a, a)`). Pair counts are
-    built once and kept with an index from each pair to the words holding
-    it; a merge re-merges only those words, subtracting their old pairs and
-    adding their new ones. The best pair comes from a heap of `(-count,
+    Each distinct unit is a word of ids into `tokens` (the single bytes,
+    then each product as first made: the vocabulary), weighted by its
+    count. Every adjacent pair counts, overlapping ones too (`aaa` holds two
+    `(a, a)`). Merging `(a, b)` into `ab` rewrites only the words indexed
+    under it, and at each site `(left, a)` and `(b, right)` become `(left,
+    ab)` and `(ab, right)`; between touching sites (`abab`) `(b, a)` becomes
+    `(ab, ab)`. The best pair tops a heap of `(-count, bytes_a, bytes_b,
     pair)` entries, stale ones skipped, so ties go to the lexicographically
     smallest pair. Stops early when no adjacent pair is left to merge.
     """
@@ -222,56 +230,57 @@ def train_merges(corpus, num_merges: int) -> Tokenizer:
     for text in texts:
         unit_counts.update(_segment(text))
 
-    words = [_unit_bytes(unit) for unit in unit_counts]
+    tokens = [bytes([x]) for x in range(256)]
+    product_ids: dict[bytes, int] = {}
+    words = [list(unit.encode("utf-8", errors="surrogateescape")) for unit in unit_counts]
     weights = list(unit_counts.values())
-    pair_counts: Counter = Counter()
-    where: dict[tuple, set[int]] = {}  # pair -> indices of the words holding it
-    for i, toks in enumerate(words):
-        for pair in zip(toks, toks[1:]):
-            pair_counts[pair] += weights[i]
+    pair_counts: dict[tuple[int, int], int] = {}
+    where: dict[tuple[int, int], set[int]] = {}  # pair -> words that have held it
+    for i, word in enumerate(words):
+        for pair in zip(word, word[1:]):
+            pair_counts[pair] = pair_counts.get(pair, 0) + weights[i]
             where.setdefault(pair, set()).add(i)
-    heap = [(-n, pair) for pair, n in pair_counts.items()]
+    heap = [(-n, tokens[a], tokens[b], (a, b)) for (a, b), n in pair_counts.items()]
     heapq.heapify(heap)
 
     merges = []
     while len(merges) < num_merges and heap:
-        neg, best = heapq.heappop(heap)
+        neg, left, right, best = heapq.heappop(heap)
         if pair_counts.get(best) != -neg:
             continue  # stale: the count changed after this entry was pushed
-        merges.append(best)
-        delta: dict[tuple, int] = {}  # a plain dict: Counter's misses are slow
+        merges.append((left, right))
+        ab = product_ids.setdefault(left + right, len(tokens))
+        if ab == len(tokens):
+            tokens.append(left + right)
+        a, b = best
+        del pair_counts[best]
+        delta: dict[tuple[int, int], int] = {}
         for i in where.pop(best):
-            old = words[i]
-            new = words[i] = _merge_word(old, best)
-            old_pairs, new_pairs = list(zip(old, old[1:])), list(zip(new, new[1:]))
+            word = words[i]
+            sites = _merge(word, a, b, ab)
+            changes = []  # (pair gone, pair made) beside each site
+            for p in sites:
+                if p:
+                    x = word[p - 1]
+                    changes.append(((b if p - 1 in sites else x, a), (x, ab)))
+                if p + 1 < len(word) and p + 1 not in sites:
+                    y = word[p + 1]
+                    changes.append(((b, y), (ab, y)))
             w = weights[i]
-            for pair in old_pairs:
-                delta[pair] = delta.get(pair, 0) - w
-            for pair in new_pairs:
-                delta[pair] = delta.get(pair, 0) + w
-            for pair in set(old_pairs).difference(new_pairs):
-                if pair != best:
-                    where[pair].discard(i)
-            for pair in set(new_pairs).difference(old_pairs):
-                where.setdefault(pair, set()).add(i)
+            for gone, made in changes:
+                delta[gone] = delta.get(gone, 0) - w
+                delta[made] = delta.get(made, 0) + w
+                where.setdefault(made, set()).add(i)
         for pair, change in delta.items():
-            if not change:
+            if not change or pair == best:  # no (a, b) is left after the merge
                 continue
-            n = pair_counts[pair] + change
+            n = pair_counts.get(pair, 0) + change
             if n:
                 pair_counts[pair] = n
-                heapq.heappush(heap, (-n, pair))
+                heapq.heappush(heap, (-n, tokens[pair[0]], tokens[pair[1]], pair))
             else:
                 del pair_counts[pair]
                 where.pop(pair, None)
-
-    tokens = [bytes([b]) for b in range(256)]
-    seen = set(tokens)
-    for left, right in merges:
-        product = left + right
-        if product not in seen:
-            tokens.append(product)
-            seen.add(product)
     return Tokenizer(Vocabulary(tokens), merges)
 
 

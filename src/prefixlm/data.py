@@ -226,7 +226,7 @@ def read_jsonl(path, schema: dict, error=ValueError, check=None) -> list[tuple]:
             for key, kind in schema.items():
                 if not isinstance(obj.get(key), kind):
                     raise TypeError(f"{key!r} is missing or not a {kind.__name__}")
-                if kind is str:  # text the tokenizer can encode (bpe._unit_bytes)
+                if kind is str:  # text the tokenizer can encode (bpe.Tokenizer._bpe)
                     obj[key].encode("utf-8", errors="surrogateescape")
             if check is not None:
                 check(obj)

@@ -108,8 +108,8 @@ def score_run(outputs, references) -> dict:
         )
     totals = {"rouge1": 0.0, "rouge2": 0.0, "rougeL": 0.0}
     for (raw, n_hints), reference in zip(outputs, references):
-        cand = strip_leading_words(raw, n_hints).lower()
-        ref = strip_leading_words(reference, n_hints).lower()
+        cand = strip_leading_words(raw, n_hints)
+        ref = strip_leading_words(reference, n_hints)
         totals["rouge1"] += rouge_n(cand, ref, 1).f1
         totals["rouge2"] += rouge_n(cand, ref, 2).f1
         totals["rougeL"] += rouge_l(cand, ref).f1

@@ -225,6 +225,20 @@ def reference_merges(corpus, num_merges):
     return merges
 
 
+def reference_bpe(tokens, merges, unit):
+    """Ids of one unit, on bytes parts: merge the lowest-ranked adjacent pair
+    (rank = index in `merges`) until none is left. `tokens` lists each id's
+    bytes; the ids returned are indices into it."""
+    ranks = {pair: rank for rank, pair in enumerate(merges)}
+    word = [bytes([b]) for b in unit.encode("utf-8", errors="surrogateescape")]
+    while len(word) > 1:
+        best = min(zip(word, word[1:]), key=lambda p: ranks.get(p, len(ranks)))
+        if best not in ranks:
+            break
+        word = _merge_word(word, best)
+    return [tokens.index(part) for part in word]
+
+
 def reference_escape(bs: bytes) -> str:
     """Token bytes as vocab/merges file text, one branch per byte kind."""
     out = []

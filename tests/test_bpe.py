@@ -1,7 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_escape, reference_merges, reference_segment, reference_unescape
+from oracles import (
+    reference_bpe,
+    reference_escape,
+    reference_merges,
+    reference_segment,
+    reference_unescape,
+)
+from prefixlm import bpe
 from prefixlm.bpe import (
     END_OF_TEXT,
     SEPARATOR,
@@ -211,10 +218,19 @@ def test_segment_matches_reference_on_escaped_bytes(data):
 # few symbols, so counts tie and runs like "aaaa" overlap
 small_corpus = st.lists(st.text(alphabet="aab 1.", max_size=12), min_size=1, max_size=6)
 merge_counts = st.sampled_from([0, 1, 3, 8, 40])
+# repeated runs, where merge sites touch (aaaa, abab, aaabaaab), in one-,
+# two- and mixed-byte letters; words of them joined by spaces
+RUN = st.tuples(st.sampled_from(["a", "b", "ab", "aab", "aaab", "\u00e9", "a\u00e9",
+                                 "\u0436\u00e9", "\u0436"]),
+                st.integers(1, 8)).map(lambda run: run[0] * run[1])
+RUN_TEXT = st.lists(st.lists(RUN, min_size=1, max_size=3).map("".join), max_size=3).map(" ".join)
+run_corpus = st.lists(RUN_TEXT, min_size=1, max_size=5)
+# 10,000 is past exhaustion for every corpus here
+merge_counts_to_exhaustion = st.one_of(merge_counts, st.integers(0, 64), st.just(10_000))
 
 
-@given(small_corpus, merge_counts)
-@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_corpus, run_corpus), merge_counts_to_exhaustion)
+@settings(max_examples=400, deadline=None)
 def test_train_merges_matches_reference(corpus, k):
     assert train_merges(corpus, k).merges == reference_merges(corpus, k)
 
@@ -248,6 +264,53 @@ def test_overlapping_pairs_each_count():
     # "bbbb" holds three (b, b); counted without overlap it would hold two
     # and lose the tie against (a, b)
     assert train_merges(["bbbb", "ab", "ab"], 1).merges == [(b"b", b"b")]
+
+
+def reference_encode(tok, text):
+    tokens = [tok.vocab.token_of(i) for i in range(len(tok.vocab))]
+    return [i for unit in reference_segment(text) for i in reference_bpe(tokens, tok.merges, unit)]
+
+
+@given(st.one_of(small_corpus, run_corpus), merge_counts_to_exhaustion,
+       st.one_of(st.text(alphabet="aab 1.", max_size=24), RUN_TEXT, st.text(max_size=24)))
+@settings(max_examples=300, deadline=None)
+def test_encode_matches_reference_bpe(corpus, k, text):
+    tok = train_merges(corpus, k)
+    assert tok.encode(text) == reference_encode(tok, text)
+
+
+# pairs that make the same bytes two ways: abc as (a, bc) and (ab, c), aaa as
+# (aa, a) and (a, aa), aaaa as (aa, aa) and (a, aaa)
+SHARED_PRODUCTS = [(b"a", b"b"), (b"b", b"c"), (b"a", b"bc"), (b"ab", b"c"), (b"a", b"a"),
+                   (b"aa", b"a"), (b"a", b"aa"), (b"aa", b"aa"), (b"a", b"aaa"),
+                   (b"abc", b"abc")]
+SHARED_TOKENS = [b"ab", b"bc", b"abc", b"aa", b"aaa", b"aaaa", b"abcabc"]
+
+
+@given(st.lists(st.sampled_from(SHARED_PRODUCTS), unique=True),
+       st.permutations([bytes([b]) for b in range(256)] + SHARED_TOKENS),
+       st.one_of(st.text(alphabet="abc ", max_size=24), RUN_TEXT))
+@settings(max_examples=300, deadline=None)
+def test_encode_matches_reference_bpe_on_loaded_tables(merges, tokens, text):
+    # any order of merges, and ids in any order, as a hand-written vocab file allows
+    tok = Tokenizer(Vocabulary(tokens), merges)
+    assert tok.encode(text) == reference_encode(tok, text)
+
+
+@pytest.mark.parametrize("text", ["aaaa", "aaaaa", "abab", "ababa", "aaabaaab", "bbbb"])
+def test_encode_matches_reference_bpe_on_runs(text):
+    tok = train_merges(["aa ab ba bb", "aaab"], 10_000)  # to exhaustion
+    assert tok.encode(text) == reference_encode(tok, text)
+    assert tok.decode(tok.encode(text)) == text
+
+
+def test_encode_unchanged_when_the_unit_cache_is_capped(monkeypatch):
+    texts = SAMPLE_CORPUS + ["aaaa abab aaabaaab", SAMPLE_CORPUS[0]]
+    expected = [train_merges(SAMPLE_CORPUS, 60).encode(t) for t in texts]
+    monkeypatch.setattr(bpe, "_UNIT_CACHE_SIZE", 2)
+    capped = train_merges(SAMPLE_CORPUS, 60)
+    assert [capped.encode(t) for t in texts] == expected
+    assert len(capped._unit_cache) <= 2
 
 
 # escape characters, hex digits in both cases, printable ASCII, TAB, DEL,

@@ -22,7 +22,7 @@ import unicodedata
 from collections import Counter
 from itertools import repeat
 
-from .data import _text_lines
+from .data import _text_lines, _write_atomic
 
 __all__ = [
     "Vocabulary",
@@ -51,8 +51,8 @@ class TokenizerFileError(ValueError):
 class Vocabulary:
     """Bijective map between byte-sequence tokens and integer ids.
 
-    Ids 0..255 are the single bytes; merged tokens follow; the end-of-text
-    and separator specials always take the two highest ids.
+    All 256 single bytes are present (train_merges puts them at ids 0..255);
+    the end-of-text and separator specials always take the two highest ids.
     """
 
     def __init__(self, base_tokens):
@@ -313,15 +313,17 @@ def _unescape(s: str, where: str) -> bytes:
 
 
 def save_vocabulary(tokenizer: Tokenizer, vocab_path, merges_path):
-    """Write the base vocabulary and merge list (specials are implicit)."""
-    with open(vocab_path, "w", encoding="utf-8") as f:
-        for i in range(tokenizer.vocab.base_size):
-            f.write(f"{i}\t{_escape(tokenizer.vocab.token_of(i))}\n")
-    with open(merges_path, "w", encoding="utf-8") as f:
-        for left, right in tokenizer.merges:
-            line = f"{_escape(left)}\t{_escape(right)}"
-            # a line starting with # reads back as a comment
-            f.write(("\\x23" + line[1:] if line[0] == "#" else line) + "\n")
+    """Write the base vocabulary, then the merge list (specials are implicit),
+    each through data._write_atomic. A kill between the two leaves a new
+    vocabulary beside old merges. load_vocabulary cannot tell a mixed pair:
+    it refuses one only where a merge's left, right or product is missing."""
+    vocab = tokenizer.vocab
+    text = "".join(f"{i}\t{_escape(vocab.token_of(i))}\n" for i in range(vocab.base_size))
+    _write_atomic(vocab_path, [text.encode()])
+    lines = (f"{_escape(left)}\t{_escape(right)}\n" for left, right in tokenizer.merges)
+    # a line starting with # reads back as a comment
+    text = "".join("\\x23" + line[1:] if line[0] == "#" else line for line in lines)
+    _write_atomic(merges_path, [text.encode()])
 
 
 def load_vocabulary(vocab_path, merges_path) -> Tokenizer:

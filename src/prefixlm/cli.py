@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .bpe import load_vocabulary, save_vocabulary, train_merges
 from .data import (
+    _write_atomic,
     build_examples,
     corpus_stats,
     parse_corpus,
@@ -106,8 +107,7 @@ def _write_manifest(command: str, started: str, out_path, inputs: dict, outputs:
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
-    path = Path(str(out_path) + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    _write_atomic(f"{out_path}.manifest.json", [(json.dumps(manifest, indent=2) + "\n").encode()])
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +191,8 @@ def cmd_generate(args) -> dict:
             failed += 1
         rows.append(row)
 
-    with open(args.out, "w", encoding="utf-8") as f:
-        for row in rows:
-            # ensure_ascii keeps the file valid even when an undertrained
-            # model emits byte sequences that are not well-formed UTF-8
-            f.write(json.dumps(row) + "\n")
+    # ensure_ascii keeps the file valid when the model emits bytes that are not UTF-8
+    _write_atomic(args.out, ((json.dumps(row) + "\n").encode() for row in rows))
     print(f"generated {len(rows) - failed} conclusions ({failed} failed) -> {args.out}")
     return dict(out_path=args.out,
                 inputs={"examples": args.examples, "checkpoint": checkpoint, "n_hints": n_hints},
@@ -222,7 +219,7 @@ def cmd_score(args) -> dict:
     scores = score_run(outputs, [r.target_text for r in references])
     report = format_score_report({args.system: scores})
     print(report)
-    Path(args.out).write_text(report + "\n", encoding="utf-8")
+    _write_atomic(args.out, [(report + "\n").encode()])
     return dict(out_path=args.out,
                 inputs={"generated": args.generated, "references": args.references},
                 outputs=[args.out])
@@ -240,7 +237,7 @@ def cmd_eval_aggregate(args) -> dict:
         sections.append(format_rating_report(agg))
     report = "\n\n".join(sections)
     print(report)
-    Path(args.out).write_text(report + "\n", encoding="utf-8")
+    _write_atomic(args.out, [(report + "\n").encode()])
     return dict(out_path=args.out,
                 inputs={"annotations": args.annotations, "ratings": args.ratings},
                 outputs=[args.out])

@@ -10,14 +10,13 @@ momentum and coupled weight decay.
 
 from __future__ import annotations
 
-import os
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .bpe import Tokenizer, load_vocabulary
-from .data import RctExample, _text_lines, read_examples_jsonl
+from .data import RctExample, _text_lines, _write_atomic, read_examples_jsonl
 from .model import (
     Model,
     ModelConfig,
@@ -322,8 +321,8 @@ def _cut_loss_log(path: Path, step: int):
     up to that step: a run that stopped after its last checkpoint may have
     logged later steps, which the resumed run trains and logs again. Row s
     is appended before checkpoint s is written, so a row torn by a kill lies
-    past `step`, or has no comma when torn inside its step. The cut log
-    replaces the old one by rename, so a crash here tears no kept row. Makes
+    past `step`, or has no comma when torn inside its step. The cut log is
+    written by data._write_atomic, so a crash here tears no kept row. Makes
     the log's directory if it is missing."""
     rows = ["step,loss\n"]
     if step > 0 and path.exists():
@@ -332,9 +331,7 @@ def _cut_loss_log(path: Path, step: int):
             if comma and field.isdecimal() and int(field) <= step:
                 rows.append(line + "\n")
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("".join(rows), encoding="utf-8")
-    os.replace(tmp, path)
+    _write_atomic(path, ["".join(rows).encode()])
 
 
 def run_finetune(cfg: TrainingConfig, log=None):
@@ -387,6 +384,7 @@ def run_finetune(cfg: TrainingConfig, log=None):
         batch = [encoded[(step * cfg.batch_size + j) % n] for j in range(cfg.batch_size)]
         loss = training_step(model, batch, state)
         if log_path is not None:
+            # appended: a rewrite per step is quadratic; _cut_loss_log drops a torn row
             with open(log_path, "a", encoding="utf-8") as f:
                 f.write(f"{step + 1},{loss:.6f}\n")
         if log is not None:

@@ -23,7 +23,6 @@ a key/value cache, so new rows attend over the cached positions too.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import os
@@ -31,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _write_atomic
 from .tensor import (
     GraphError,
     ShapeError,
@@ -370,9 +370,9 @@ _MAGIC = b"PFXLM1"
 def write_tensor_map(path, items, meta_step: int | None = None):
     """Write (name, array) pairs: text header/meta lines, raw f32 payloads.
 
-    The file is written beside `path` and then renamed over it, so a crash
-    mid-write leaves any previous file at `path` intact. A repeated name,
-    which read_tensor_map would refuse, is refused before anything is written.
+    The file reaches disk through data._write_atomic, so a crash mid-write
+    leaves any previous file at `path` intact. A repeated name, which
+    read_tensor_map would refuse, is refused before anything is written.
     """
     items = list(items)
     seen = set()
@@ -380,24 +380,18 @@ def write_tensor_map(path, items, meta_step: int | None = None):
         if name in seen:
             raise WeightFileError(f"{path}: repeated tensor {name!r}")
         seen.add(name)
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(_MAGIC + b" " + str(len(items)).encode() + b"\n")
-            for name, arr in items:
-                arr = np.ascontiguousarray(arr, dtype="<f4")
-                dims = " ".join(str(s) for s in arr.shape)
-                f.write(f"{name}\t{arr.ndim}\t{dims}\n".encode())
-                f.write(arr.tobytes())
-            if meta_step is not None:
-                f.write(f"meta\t{meta_step}\n".encode())
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+
+    def chunks():
+        yield _MAGIC + b" " + str(len(items)).encode() + b"\n"
+        for name, arr in items:
+            arr = np.ascontiguousarray(arr, dtype="<f4")
+            dims = " ".join(str(s) for s in arr.shape)
+            yield f"{name}\t{arr.ndim}\t{dims}\n".encode()
+            yield arr.tobytes()
+        if meta_step is not None:
+            yield f"meta\t{meta_step}\n".encode()
+
+    _write_atomic(path, chunks())
 
 
 _MAX_LINE = 1 << 16  # header, tensor and meta lines are far shorter

@@ -11,7 +11,7 @@ import pytest
 from prefixlm import cli
 from prefixlm.cli import main
 from prefixlm.data import RctExample, read_examples_jsonl, write_examples_jsonl
-from prefixlm.model import read_tensor_map
+from prefixlm.model import read_tensor_map, write_tensor_map
 
 CORPUS = """\
 ###100
@@ -501,6 +501,13 @@ def test_finetune_resumes_from_checkpoint(tmp_path, corpus_file, capsys):
     assert (tmp_path / "ck.bin").read_bytes() != first
 
 
+def _subprocess_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+
+
 def test_finetune_killed_then_rerun_matches_uninterrupted(tmp_path, corpus_file, capsys):
     # SIGKILL lands after a step past the first checkpoint (step 2), so the
     # rerun resumes from a checkpoint with loss rows logged beyond it
@@ -514,12 +521,9 @@ def test_finetune_killed_then_rerun_matches_uninterrupted(tmp_path, corpus_file,
         _set_key(cfg, "checkpoint_path", run / "ck.bin")
         _set_key(cfg, "loss_log", run / "loss.csv")
         if run_name == "killed":
-            src = str(Path(__file__).resolve().parent.parent / "src")
-            env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-                [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
             proc = subprocess.Popen(
                 [sys.executable, "-u", "-m", "prefixlm.cli", "finetune", "--config", str(cfg)],
-                stdout=subprocess.PIPE, text=True, env=env)
+                stdout=subprocess.PIPE, text=True, env=_subprocess_env())
             for line in proc.stdout:
                 if line.startswith("step 3/"):
                     proc.send_signal(signal.SIGKILL)
@@ -544,6 +548,89 @@ def _checkpoint_difference(path, other) -> str:
                   or tensors[name].tobytes() != others[name].tobytes()), None)
     return (f"first differing tensor {first!r}; meta step {step} in {path.parent.name}, "
             f"{other_step} in {other.parent.name}")
+
+
+def _trained(tmp_path, corpus_file):
+    """Examples, a config and the 2-step checkpoint it names."""
+    _, examples = _preprocess(tmp_path, corpus_file)
+    _, vocab, merges = _train_tokenizer(tmp_path, examples)
+    cfg = _write_config(tmp_path, examples, vocab, merges, steps=2)
+    assert main(["finetune", "--config", str(cfg)]) == 0
+    return examples, cfg
+
+
+def _old_outputs(tmp_path, corpus_file, command):
+    """The arguments of `command` and the files it would replace, each
+    already holding old bytes; None for write_tensor_map, called directly."""
+    examples, cfg = _trained(tmp_path, corpus_file)
+    if command == "finetune":
+        # resuming from step 2 would cut the log that a run killed at step 3 left
+        _set_key(cfg, "steps", 4)
+        (tmp_path / "loss.csv").write_text("step,loss\n1,0.5\n2,0.4\n3,0.3\n")
+    gen, ann = tmp_path / "gen.jsonl", tmp_path / "ann.csv"
+    assert main(["generate", "--config", str(cfg), "--examples", str(examples),
+                 "--max-new-tokens", "4", "--out", str(gen)]) == 0
+    ann.write_text("system,example_id,verdict\ns,e0,TP\n")
+    out, out2 = tmp_path / "out", tmp_path / "out2"
+    argv, targets = {
+        "preprocess": (["--corpus", str(corpus_file), "--out", str(out)], [out]),
+        "train-tokenizer": (["--examples", str(examples), "--out-vocab", str(out),
+                             "--out-merges", str(out2)], [out, out2]),
+        "finetune": (["--config", str(cfg)], [tmp_path / "ck.bin", tmp_path / "loss.csv"]),
+        "generate": (["--config", str(cfg), "--examples", str(examples),
+                      "--max-new-tokens", "4", "--out", str(out)], [out]),
+        "score": (["--generated", str(gen), "--references", str(examples),
+                   "--out", str(out)], [out]),
+        "eval-aggregate": (["--annotations", str(ann), "--out", str(out)], [out]),
+        "write_tensor_map": (None, [out]),
+    }[command]
+    for target in targets:
+        if not target.exists():
+            target.write_bytes(b"old bytes\n")
+    return argv, targets
+
+
+def _fail_fsync(fd):
+    raise OSError("disk gone")
+
+
+@pytest.mark.parametrize("command", ["preprocess", "train-tokenizer", "finetune", "generate",
+                                     "score", "eval-aggregate", "write_tensor_map"])
+def test_failed_write_keeps_old_file(tmp_path, corpus_file, monkeypatch, capsys, command):
+    # a write stopped before its rename leaves every file in the directory as
+    # it was, the old outputs and manifests included, and no temp file
+    argv, targets = _old_outputs(tmp_path, corpus_file, command)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    monkeypatch.setattr(os, "fsync", _fail_fsync)
+    if argv is None:  # an error inside the payload, before the fsync
+        with pytest.raises(TypeError):
+            write_tensor_map(targets[0], [("a", np.ones(3, dtype=np.float32)), ("b", object())])
+    else:
+        assert main([command, *argv]) == 2
+        assert "error: disk gone" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def test_generate_killed_inside_the_rename_keeps_old_output(tmp_path, corpus_file):
+    # SIGKILL after the new file is fsynced, before it replaces the old one
+    examples, cfg = _trained(tmp_path, corpus_file)
+    gen = tmp_path / "gen.jsonl"
+    gen.write_bytes(b"old bytes\n")
+    argv = ["generate", "--config", str(cfg), "--examples", str(examples),
+            "--max-new-tokens", "4", "--out", str(gen)]
+    script = ("import os, signal, sys\n"
+              "from prefixlm.cli import main\n"
+              "os.replace = lambda src, dst: os.kill(os.getpid(), signal.SIGKILL)\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=_subprocess_env(),
+                          capture_output=True, timeout=120)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    assert gen.read_bytes() == b"old bytes\n"
+    assert (tmp_path / "gen.jsonl.tmp").exists()
+    assert main(argv) == 0
+    assert len(gen.read_text().splitlines()) == 2
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_finetune_refuses_to_resume_past_steps(tmp_path, corpus_file, capsys):

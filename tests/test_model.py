@@ -776,17 +776,6 @@ def test_tensor_map_writer_refuses_repeated_tensor_name(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_tensor_map_failed_write_keeps_old_file(tmp_path):
-    path = tmp_path / "ck.bin"
-    write_tensor_map(path, [("a", np.arange(3, dtype=np.float32))], meta_step=1)
-    before = path.read_bytes()
-    items = [("a", np.ones(3, dtype=np.float32)), ("b", object())]
-    with pytest.raises(TypeError):
-        write_tensor_map(path, items, meta_step=2)
-    assert path.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.bin"]
-
-
 def test_tensor_map_write_replaces_old_file(tmp_path):
     path = tmp_path / "ck.bin"
     write_tensor_map(path, [("a", np.arange(3, dtype=np.float32))], meta_step=1)

@@ -65,5 +65,5 @@ print("prefix: every target row moved after source edit:",
 
 # the full-scale configuration of the same architecture
 full = ModelConfig(n_layers=12, d_model=768, n_heads=12, d_ff=3072,
-                   vocab_size=50257, max_positions=1024, activation="gelu")
+                   vocab_size=50257, max_positions=1024)
 print(f"\nfull-scale config would have {param_count(full):,} parameters")

@@ -88,9 +88,6 @@ class Vocabulary:
         except KeyError:
             raise VocabularyError(f"unknown token {token!r}") from None
 
-    def __contains__(self, token: bytes) -> bool:
-        return token in self._token_to_id
-
 
 def _category_code(ch: str) -> str:
     """One-letter category: S the space character itself, s other

@@ -182,21 +182,13 @@ def corpus_stats(examples) -> dict:
     examples re-read from JSONL).
     """
     examples = list(examples)
-    if not examples:
-        return {
-            "count": 0,
-            "mean_source_words": 0.0,
-            "mean_source_sentences": 0.0,
-            "mean_target_words": 0.0,
-            "mean_target_sentences": 0.0,
-        }
-    n = len(examples)
+    n = max(len(examples), 1)  # an empty list gives 0 and 0.0 means
     have_sentences = all(
         e.source_sentences is not None and e.target_sentences is not None
         for e in examples
     )
     return {
-        "count": n,
+        "count": len(examples),
         "mean_source_words": round(
             sum(len(e.source_text.split()) for e in examples) / n, 1
         ),

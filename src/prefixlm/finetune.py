@@ -260,7 +260,6 @@ class TrainingConfig:
     n_heads: int
     d_ff: int
     max_positions: int
-    activation: str = "relu"
     loss_log: str = ""
 
     def model_config(self, vocab_size: int) -> ModelConfig:
@@ -272,8 +271,8 @@ class TrainingConfig:
 
 
 # smallest accepted value of a numeric key; ModelConfig judges the model keys
-_LOWER_BOUNDS = {"steps": 0, "batch_size": 1, "n_hints": 0, "checkpoint_every": 0, "max_len": 1,
-                 "lr": 0, "momentum": 0, "weight_decay": 0}
+_LOWER_BOUNDS = {"seed": 0, "steps": 0, "batch_size": 1, "n_hints": 0, "checkpoint_every": 0,
+                 "max_len": 1, "lr": 0, "momentum": 0, "weight_decay": 0}
 
 
 def parse_training_config(path) -> TrainingConfig:

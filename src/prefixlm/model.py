@@ -1,8 +1,8 @@
 """Decoder-style transformer with pre-layer-norm blocks and a prefix LM rule.
 
 The stack is: token + learned position embeddings, N blocks of masked
-multi-head self-attention and a position-wise feed-forward sublayer (layer
-norm applied before each sublayer, residual around both), a final layer
+multi-head self-attention and a position-wise ReLU feed-forward sublayer
+(layer norm applied before each sublayer, residual around both), a final layer
 norm, and a language-model head tied to the token embedding. Visibility is
 one number per sequence, its source length m: the query at position p sees
 key j when j < m or j <= p (bidirectional source, causal target; m <= 1 is
@@ -39,7 +39,6 @@ from .tensor import (
     add,
     attention,
     embedding_rows,
-    gelu,
     layer_norm,
     matmul,
     query_ranges,
@@ -72,8 +71,6 @@ NEG_INF = float("-inf")
 LN_EPS = 1e-5
 INIT_STD = 0.02
 
-_ACTIVATIONS = {"relu": relu, "gelu": gelu}
-
 
 class WeightFileError(ValueError):
     """Malformed weights file, or tensors that do not match the config."""
@@ -89,7 +86,6 @@ class ModelConfig:
     d_ff: int
     vocab_size: int
     max_positions: int
-    activation: str = "relu"
 
     def __post_init__(self):
         for name in ("n_layers", "d_model", "n_heads", "d_ff", "vocab_size", "max_positions"):
@@ -99,8 +95,6 @@ class ModelConfig:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def d_k(self) -> int:
@@ -181,14 +175,7 @@ def build_prefix_mask(m: int, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def block_forward(
-    x: Tensor,
-    segments,
-    block,
-    n_heads: int,
-    activation: str = "relu",
-    cache=None,
-) -> Tensor:
+def block_forward(x: Tensor, segments, block, n_heads: int, cache=None) -> Tensor:
     """Pre-LN residual block: attention sublayer, then feed-forward sublayer.
 
     The rows of x hold the sequences `segments` = [(n, m, rows), ...], as in
@@ -206,7 +193,7 @@ def block_forward(
     h = add(matmul(attention(qkv, segments, n_heads, cache), block["attn_out.weight"]), x)
     hidden = layer_norm(h, block["ln2.weight"], block["ln2.bias"], LN_EPS)
     hidden = add(matmul(hidden, block["ffn_w1.weight"]), block["ffn_b1.bias"])
-    hidden = _ACTIVATIONS[activation](hidden)
+    hidden = relu(hidden)
     return add(add(matmul(hidden, block["ffn_w2.weight"]), block["ffn_b2.bias"]), h)
 
 
@@ -289,7 +276,7 @@ class Model:
         for layer in range(self.config.n_layers):
             kv = None if cache is None else (cache.keys[layer], cache.values[layer], start)
             x = block_forward(x, cut if layer == last else every, self.params.block(layer),
-                              self.config.n_heads, self.config.activation, kv)
+                              self.config.n_heads, kv)
         return self._head(x)
 
     def prefill(self, token_ids, m: int):
@@ -371,9 +358,12 @@ def write_tensor_map(path, items, meta_step: int | None = None):
     """Write (name, array) pairs: text header/meta lines, raw f32 payloads.
 
     The file reaches disk through data._write_atomic, so a crash mid-write
-    leaves any previous file at `path` intact. A repeated name, which
-    read_tensor_map would refuse, is refused before anything is written.
+    leaves any previous file at `path` intact. A repeated name or a negative
+    meta step, which read_tensor_map would refuse, is refused before anything
+    is written.
     """
+    if meta_step is not None and meta_step < 0:
+        raise WeightFileError(f"{path}: bad meta step {meta_step!r}")
     items = list(items)
     seen = set()
     for name, _ in items:
@@ -459,10 +449,9 @@ def read_tensor_map(path):
             fields = trailer.rstrip(b"\n").split(b"\t")
             if len(trailer) > _MAX_LINE or len(fields) != 2 or fields[0] != b"meta":
                 raise WeightFileError(f"{path}: unexpected trailing data")
-            try:
-                meta_step = int(fields[1])
-            except ValueError as e:
-                raise WeightFileError(f"{path}: bad meta step {fields[1]!r}") from e
+            if not fields[1].isdigit():  # a step count: no sign, no spaces
+                raise WeightFileError(f"{path}: bad meta step {fields[1]!r}")
+            meta_step = int(fields[1])
     return tensors, meta_step
 
 

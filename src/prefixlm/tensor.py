@@ -22,7 +22,6 @@ __all__ = [
     "transpose",
     "add",
     "relu",
-    "gelu",
     "attention",
     "query_ranges",
     "layer_norm",
@@ -239,23 +238,6 @@ def relu(a: Tensor) -> Tensor:
         _accumulate(a, g * (a.data > 0))
 
     return _wrap(np.maximum(a.data, 0), (a,), bw)
-
-
-_GELU_C = math.sqrt(2.0 / math.pi)
-
-
-def gelu(a: Tensor) -> Tensor:
-    """Gaussian error linear unit (tanh approximation)."""
-    x = a.data
-    inner = _GELU_C * (x + 0.044715 * x**3)
-    t = np.tanh(inner)
-
-    def bw(g):
-        sech2 = 1.0 - t * t
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-        _accumulate(a, g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * d_inner))
-
-    return _wrap(0.5 * x * (1.0 + t), (a,), bw)
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:

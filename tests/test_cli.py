@@ -368,7 +368,7 @@ def test_finetune_non_finite_optimizer_setting_exit_2(tmp_path, corpus_file, cap
                                        ("batch_size", "-1"), ("n_hints", "-1"),
                                        ("checkpoint_every", "-5"), ("max_len", "0"),
                                        ("lr", "-1"), ("momentum", "-0.5"),
-                                       ("weight_decay", "-1")])
+                                       ("weight_decay", "-1"), ("seed", "-1")])
 def test_finetune_out_of_range_count_exit_2(tmp_path, corpus_file, capsys, key, value):
     _, examples = _preprocess(tmp_path, corpus_file)
     _, vocab, merges = _train_tokenizer(tmp_path, examples)
@@ -384,7 +384,7 @@ def test_finetune_out_of_range_count_exit_2(tmp_path, corpus_file, capsys, key, 
     ({"d_model": "10", "n_heads": "3"}, "{cfg}: d_model 10 not divisible by n_heads 3"),
     ({"max_positions": "0"}, "{cfg}: max_positions must be >= 1, got 0"),
     ({"n_heads": "0"}, "{cfg}: n_heads must be >= 1, got 0"),
-    ({"activation": "swish"}, "{cfg}: unknown activation 'swish'"),
+    ({"activation": "relu"}, "{cfg}: unknown config key 'activation'"),
     # steps=3 stays on line 4 and line 5 sets it again
     ({"steps": "3\nsteps=1000"}, "{cfg}:5: repeated config key 'steps'"),
 ], ids=["heads", "positions", "zero-heads", "activation", "repeated-key"])

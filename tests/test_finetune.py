@@ -692,7 +692,6 @@ def test_parse_training_config(tmp_path):
     assert cfg.momentum == 0.9
     assert cfg.weight_decay == 0.0005
     assert cfg.checkpoint_path == "out/ck.bin"
-    assert cfg.activation == "relu"  # default
 
 
 def test_parse_training_config_missing_key(tmp_path):
@@ -700,6 +699,17 @@ def test_parse_training_config_missing_key(tmp_path):
     path.write_text(FULL_CONFIG.replace("momentum=0.9\n", ""), encoding="utf-8")
     with pytest.raises(ConfigError, match="momentum"):
         parse_training_config(path)
+
+
+def test_readme_config_block_names_every_key(tmp_path):
+    # the README's example config parses and sets each TrainingConfig field once
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+    path = tmp_path / "readme.cfg"
+    path.write_text(block, encoding="utf-8")
+    parse_training_config(path)
+    keys = [line.partition("=")[0] for line in block.splitlines() if not line.startswith("#")]
+    assert sorted(keys) == sorted(f.name for f in fields(TrainingConfig))
 
 
 def test_parse_training_config_unknown_key(tmp_path):

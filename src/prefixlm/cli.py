@@ -161,17 +161,12 @@ def cmd_finetune(args) -> dict:
                 outputs=outputs, seed=cfg.seed, config=args.config)
 
 
-def _model_from_config(cfg, checkpoint_path):
-    tokenizer = load_vocabulary(cfg.vocab_file, cfg.merges_file)
-    config = cfg.model_config(len(tokenizer.vocab))
-    params = load_model_weights(checkpoint_path, config)
-    return Model(config, params), tokenizer
-
-
 def cmd_generate(args) -> dict:
     cfg = parse_training_config(args.config)
     checkpoint = args.checkpoint or cfg.checkpoint_path
-    model, tokenizer = _model_from_config(cfg, checkpoint)
+    tokenizer = load_vocabulary(cfg.vocab_file, cfg.merges_file)
+    config = cfg.model_config(len(tokenizer.vocab))
+    model = Model(config, load_model_weights(checkpoint, config))
     examples = read_examples_jsonl(args.examples)
     n_hints = cfg.n_hints if args.n_hints is None else args.n_hints
     gen_config = GenerationConfig(n_hints=n_hints,

@@ -151,17 +151,17 @@ def _normalize_sections(sections) -> tuple[str, ...]:
 
 
 def build_examples(abstracts, sections):
-    """All usable examples plus the count of skipped abstracts: those with no
-    conclusion sentences or nothing in the selected sections. The sections
-    are checked before any abstract is read, so an empty corpus rejects a
-    bad one too."""
+    """All usable examples plus the count of skipped abstracts: those whose
+    sentences in the selected sections, or conclusion sentences, are missing
+    or all blank. The sections are checked before any abstract is read, so
+    an empty corpus rejects a bad one too."""
     sections = _normalize_sections(sections)
     examples = []
     skipped = 0
     for abstract in abstracts:
         source = [text for label, text in abstract.sentences if label in sections]
         target = [text for label, text in abstract.sentences if label == "CONCLUSIONS"]
-        if not source or not target:
+        if not any(map(str.strip, source)) or not any(map(str.strip, target)):
             skipped += 1
             continue
         examples.append(RctExample(

@@ -52,8 +52,6 @@ __all__ = [
 # appended to the source text when no hint words are used
 HINTLESS_PROMPT = "In conclusion , "
 
-DEFAULT_MAX_ENCODED_LEN = 500
-
 
 @dataclass
 class EncodedExample:
@@ -107,7 +105,7 @@ def prepare_example(
     return EncodedExample(source_ids, prefix_ids, target_ids)
 
 
-def filter_long(examples, max_len: int = DEFAULT_MAX_ENCODED_LEN):
+def filter_long(examples, max_len: int):
     """Keep examples strictly shorter than max_len encoded tokens."""
     return [e for e in examples if len(e) < max_len]
 
@@ -344,9 +342,13 @@ def run_finetune(cfg: TrainingConfig, log=None):
     examples = read_examples_jsonl(cfg.data_path)
     if not examples:
         raise ValueError(f"{cfg.data_path}: no training examples")
-    encoded = filter_long(
-        [prepare_example(e, cfg.n_hints, tokenizer) for e in examples], cfg.max_len
-    )
+    encoded = []
+    for e in examples:
+        try:
+            encoded.append(prepare_example(e, cfg.n_hints, tokenizer))
+        except ValueError as err:
+            raise ValueError(f"{cfg.data_path}: example {e.pmid!r}: {err}") from err
+    encoded = filter_long(encoded, cfg.max_len)
     if not encoded:
         raise ConfigError(
             f"every example was dropped by the length filter (max_len {cfg.max_len})"
@@ -380,6 +382,9 @@ def run_finetune(cfg: TrainingConfig, log=None):
 
     n = len(encoded)
     for step in range(start_step, cfg.steps):
+        # checkpoint s is written as step s + 1 begins, the last one after the loop
+        if step > start_step and cfg.checkpoint_every > 0 and step % cfg.checkpoint_every == 0:
+            save_checkpoint(cfg.checkpoint_path, model.params, state, step)
         batch = [encoded[(step * cfg.batch_size + j) % n] for j in range(cfg.batch_size)]
         loss = training_step(model, batch, state)
         if log_path is not None:
@@ -388,9 +393,5 @@ def run_finetune(cfg: TrainingConfig, log=None):
                 f.write(f"{step + 1},{loss:.6f}\n")
         if log is not None:
             log(step + 1, loss)
-        last = step + 1 == cfg.steps
-        if last or cfg.checkpoint_every > 0 and (step + 1) % cfg.checkpoint_every == 0:
-            save_checkpoint(cfg.checkpoint_path, model.params, state, step + 1)
-    if start_step == cfg.steps:  # nothing left to train: save the weights as they are
-        save_checkpoint(cfg.checkpoint_path, model.params, state, cfg.steps)
+    save_checkpoint(cfg.checkpoint_path, model.params, state, cfg.steps)
     return model, state, cfg.steps

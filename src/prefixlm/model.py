@@ -32,10 +32,8 @@ import numpy as np
 
 from .data import _write_atomic
 from .tensor import (
-    GraphError,
     ShapeError,
     Tensor,
-    active_tape,
     add,
     attention,
     embedding_rows,
@@ -178,17 +176,17 @@ def build_prefix_mask(m: int, n: int) -> np.ndarray:
 def block_forward(x: Tensor, segments, block, n_heads: int, cache=None) -> Tensor:
     """Pre-LN residual block: attention sublayer, then feed-forward sublayer.
 
-    The rows of x hold the sequences `segments` = [(n, m, rows), ...], as in
-    tensor.attention: n rows, source length m and query rows. Every row feeds
-    the keys and values; only each segment's query rows are carried on through
-    the output projection, the residuals and the feed-forward sublayer, so
-    the result stacks those rows. `block` maps the names of _BLOCK_TENSORS to
+    The rows of x hold the sequences `segments` = [(n, m, (a, b)), ...], as
+    in tensor.attention: n rows, source length m and query rows a to b. Every
+    row feeds the keys and values; only each segment's query rows are carried
+    on through the output projection, the residuals and the feed-forward
+    sublayer, so the result stacks those rows. `block` maps the names of _BLOCK_TENSORS to
     the layer's tensors; `cache` is as in tensor.attention.
     """
     qkv = matmul(layer_norm(x, block["ln1.weight"], block["ln1.bias"], LN_EPS),
                  block["attn_qkv.weight"])
     # copied only when some segment leaves rows out: not for a decode step's one row
-    if any(rows is not None and rows[1] - rows[0] < n for n, _, rows in segments):
+    if any(b - a < n for n, _, (a, b) in segments):
         x = slice_rows(x, query_ranges(segments))
     h = add(matmul(attention(qkv, segments, n_heads, cache), block["attn_out.weight"]), x)
     hidden = layer_norm(h, block["ln2.weight"], block["ln2.bias"], LN_EPS)
@@ -223,14 +221,12 @@ class Model:
         self.config = config
         self.params = params
 
-    def embed(self, token_ids, positions=None) -> Tensor:
+    def embed(self, token_ids, positions) -> Tensor:
         """Token plus position embeddings. `positions` gives the (start, stop)
-        positions of each sequence packed in token_ids, in order, and is
-        [(0, len(token_ids))] when None. The one check of a sequence against
-        max_positions, made before any op runs or any cache row is written."""
+        positions of each sequence packed in token_ids, in order. The one check
+        of a sequence against max_positions, made before any op runs or any
+        cache row is written."""
         token_ids = np.asarray(token_ids, dtype=np.int64)
-        if positions is None:
-            positions = [(0, token_ids.shape[0])]
         for _, stop in positions:
             if stop > self.config.max_positions:
                 raise ValueError(
@@ -255,21 +251,21 @@ class Model:
         if not m or not np.array_equal(mask, build_prefix_mask(m, t - m)):
             raise ShapeError(f"mask of shape {mask.shape} is not a causal or prefix "
                              f"mask over {t} tokens")
-        return self.forward_rows([(token_ids, m, None)])
+        return self.forward_rows([(token_ids, m, (0, t))])
 
     def forward_rows(self, segments, cache: KVCache | None = None) -> Tensor:
         """Next-token logits of the sequences `segments` = [(token_ids, m,
         rows), ...], packed side by side: each starts at position 0, attends
         only within itself under the prefix rule of its source length m (as in
-        tensor.attention), and gives the logits of its rows `rows` = (a, b), or
-        of every row when rows is None, stacked in order. Every block but the
-        last runs on all rows; the last block and the head run on the rows.
+        tensor.attention), and gives the logits of its rows `rows` = (a, b),
+        (0, n) for all n of them, stacked in order. Every block but the last
+        runs on all rows; the last block and the head run on the rows.
         With a cache there is one sequence, at positions cache.length onward,
         and each layer writes its keys and values into its slice of the cache
         (cache.length is left as it was)."""
         start = 0 if cache is None else cache.length
         cut = [(len(ids), m, rows) for ids, m, rows in segments]
-        every = [(n, m, None) for n, m, _ in cut]
+        every = [(n, m, (0, n)) for n, m, _ in cut]
         x = self.embed(np.concatenate([np.asarray(ids, dtype=np.int64) for ids, _, _ in segments]),
                        [(start, start + n) for n, _, _ in cut])
         last = self.config.n_layers - 1
@@ -297,8 +293,6 @@ class Model:
         return self._extend(cache, [token_id], 0)  # the last position sees every key
 
     def _extend(self, cache: KVCache, token_ids, m: int) -> np.ndarray:
-        if active_tape() is not None:
-            raise GraphError("incremental decoding runs outside any tape")
         t = len(token_ids)
         logits = self.forward_rows([(token_ids, m, (t - 1, t))], cache)
         cache.length += t

@@ -184,26 +184,15 @@ def aggregate_ratings(records) -> dict:
     }
 
 
-def _normalize_verdict(raw: str) -> str:
-    v = raw.strip().upper().replace("/", "")
-    return v
-
-
 def _read_csv(path, n_columns: int, make_record) -> list:
     """make_record(row) for every row of a UTF-8 CSV with n_columns columns
     and an optional `system,...` header; a bad row raises ValueError naming
     path:line."""
     records = []
-    lineno = 0
-
-    def lines():
-        nonlocal lineno
-        for lineno, line in _text_lines(path, ValueError):
-            yield line + "\n"
-
+    reader = csv.reader(line + "\n" for _, line in _text_lines(path, ValueError))
     try:
-        for row in csv.reader(lines()):
-            if not row or (lineno == 1 and row[0].strip().lower() == "system"):
+        for row in reader:
+            if not row or (reader.line_num == 1 and row[0].strip().lower() == "system"):
                 continue
             try:
                 if len(row) != n_columns:
@@ -212,14 +201,14 @@ def _read_csv(path, n_columns: int, make_record) -> list:
             except ValueError as e:  # prefixed below; _text_lines' errors already are
                 raise csv.Error(e) from e
     except csv.Error as e:
-        raise ValueError(f"{path}:{lineno}: {e}") from e
+        raise ValueError(f"{path}:{reader.line_num}: {e}") from e
     return records
 
 
 def read_annotations_csv(path) -> list[AnnotationRecord]:
     """CSV rows system,example_id,verdict (optional header)."""
     return _read_csv(path, 3, lambda row: AnnotationRecord(
-        row[0].strip(), row[1].strip(), _normalize_verdict(row[2])))
+        row[0].strip(), row[1].strip(), row[2].strip().upper().replace("/", "")))
 
 
 def read_ratings_csv(path) -> list[RatingRecord]:

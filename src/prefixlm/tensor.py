@@ -131,19 +131,19 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}{flag})"
 
 
-def _accumulate(t: Tensor, g: np.ndarray, rows=None):
+def _accumulate(t: Tensor, g: np.ndarray, at=None):
     """Add g into t.grad, which the first gradient creates as zeros: into the
-    whole array, into a row slice, or at row ids that may repeat."""
+    whole array, into a row slice `at`, or at row ids `at` that may repeat."""
     if not t.requires_grad:
         return
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    if rows is None:
+    if at is None:
         t.grad += g  # not t.grad[...] += g, which writes the array back onto itself
-    elif isinstance(rows, slice):
-        t.grad[rows] += g
+    elif isinstance(at, slice):
+        t.grad[at] += g
     else:
-        np.add.at(t.grad, rows, g)
+        np.add.at(t.grad, at, g)
 
 
 def _wrap(data: np.ndarray, inputs, backward_fn) -> Tensor:
@@ -261,7 +261,7 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     """Per-row normalization to mean 0 / variance 1, then scale and shift."""
     data = x.data
     if data.ndim != 2:
@@ -341,8 +341,7 @@ def _split_heads(qkv: np.ndarray, n_heads: int) -> np.ndarray:
 def query_ranges(segments):
     """(first, stop) of each segment's query rows among the packed rows."""
     ranges, offset = [], 0
-    for n, _, rows in segments:
-        a, b = (0, n) if rows is None else rows
+    for n, _, (a, b) in segments:
         ranges.append((offset + a, offset + b))
         offset += n
     return ranges
@@ -354,9 +353,9 @@ def attention(qkv: Tensor, segments, n_heads: int, cache=None) -> Tensor:
     the result with the heads side by side.
 
     The t rows hold one or more sequences side by side, `segments` =
-    [(n, m, rows), ...] in row order with the n summing to t, and each
+    [(n, m, (a, b)), ...] in row order with the n summing to t, and each
     attends over its own rows only, in a softmax of its own. Queries come
-    from the segment's rows `rows` = (a, b), all n when None; keys and values
+    from the segment's rows a to b, (0, n) for all of them; keys and values
     from every row of the segment. The result stacks each segment's [b-a x d]
     query rows in order. Without a cache a segment's rows sit at positions 0
     to s = n; `cache` is one layer's (keys, values, start), for a single
@@ -366,9 +365,9 @@ def attention(qkv: Tensor, segments, n_heads: int, cache=None) -> Tensor:
     Visibility is the prefix rule of the segment's source length m, 0 <= m <=
     s: the query at position p sees key j when j < m or j <= p, so m = s sees
     every key and m <= 1 is the causal rule. Hidden scores are set to -inf
-    only when some query row has a hidden key. Cached calls are for decoding,
-    off the tape. The backward keeps only the softmax weights besides its
-    operand, and its query gradient is zero outside the query rows.
+    only when some query row has a hidden key. Cached calls are for decoding
+    and raise GraphError under a tape. The backward keeps only the softmax
+    weights besides its operand; its query gradient is 0 outside query rows.
     """
     data = qkv.data
     if data.ndim != 2 or data.shape[1] % (3 * n_heads):
@@ -379,18 +378,19 @@ def attention(qkv: Tensor, segments, n_heads: int, cache=None) -> Tensor:
                          f"do not add up to {t} rows")
     if cache is not None and len(segments) != 1:
         raise ShapeError("a cached attention call takes one segment")
+    if cache is not None and _active_tape is not None:  # before any cache row is written
+        raise GraphError("incremental decoding runs outside any tape")
     q, k, v = _split_heads(data, n_heads)
     c = 1.0 / math.sqrt(q.shape[2])
     start = 0 if cache is None else cache[2]
     parts, heads, offset, cut = [], [], 0, False
-    for n, m, rows in segments:
-        a, b = (0, n) if rows is None else rows
+    for n, m, (a, b) in segments:
         if not 0 <= a < b <= n:
             raise ShapeError(f"query rows [{a}:{b}] out of range for {n} rows")
         s = start + n
         if not 0 <= m <= s:
             raise ShapeError(f"source length {m} out of range for {s} positions")
-        cut = cut or rows is not None
+        cut = cut or b - a < n
         ks, vs = k[:, offset:offset + n], v[:, offset:offset + n]
         if cache is not None:
             keys, values, _ = cache

@@ -439,6 +439,25 @@ def test_duplicate_vocab_id(tmp_path, tok):
         load_vocabulary(vp, mp)
 
 
+def test_vocab_bad_id_names_path_and_line(tmp_path):
+    vp, mp = tmp_path / "vocab.tsv", tmp_path / "merges.tsv"
+    vp.write_text("x\ta\n", encoding="utf-8")
+    mp.write_text("", encoding="utf-8")
+    with pytest.raises(TokenizerFileError) as err:
+        load_vocabulary(vp, mp)
+    assert str(err.value) == f"{vp}:1: bad id 'x'"
+
+
+def test_vocab_token_colliding_with_a_special_rejected(tmp_path, tok):
+    vp, mp = tmp_path / "vocab.tsv", tmp_path / "merges.tsv"
+    save_vocabulary(tok, vp, mp)
+    with open(vp, "a", encoding="utf-8") as f:
+        f.write(f"{tok.vocab.base_size}\t<|endoftext|>\n")
+    with pytest.raises(TokenizerFileError) as err:
+        load_vocabulary(vp, mp)
+    assert str(err.value) == f"{vp}: token collides with special b'<|endoftext|>'"
+
+
 def test_vocab_missing_bytes_rejected(tmp_path):
     vp, mp = tmp_path / "vocab.tsv", tmp_path / "merges.tsv"
     vp.write_text("0\ta\n1\tb\n", encoding="utf-8")

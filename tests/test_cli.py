@@ -141,6 +141,24 @@ def test_preprocess_empty_corpus_bad_section_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_preprocess_empty_sections_exit_2(tmp_path, corpus_file, capsys):
+    code, out = _preprocess(tmp_path, corpus_file, sections=",")
+    assert code == 2
+    assert "error: sections must be nonempty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_preprocess_skips_abstracts_with_only_blank_sentences(tmp_path, capsys):
+    # nothing to encode: blank selected source sentences, or blank conclusions
+    corpus = tmp_path / "blank.txt"
+    corpus.write_text(CORPUS + "###300\nBACKGROUND\t \nRESULTS\t\nCONCLUSIONS\tFine .\n"
+                      "###400\nRESULTS\tA result .\nCONCLUSIONS\t  \n", encoding="utf-8")
+    code, out = _preprocess(tmp_path, corpus)
+    assert code == 0
+    assert "parsed 4 abstracts -> 2 examples (2 skipped)" in capsys.readouterr().out
+    assert [e.pmid for e in read_examples_jsonl(out)] == ["100", "200"]
+
+
 def test_preprocess_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("###1\nFOO\ttext\n", encoding="utf-8")
@@ -402,6 +420,52 @@ def test_finetune_config_refused_before_any_file(tmp_path, capsys, edits, proble
     assert not run.exists()
 
 
+def test_train_tokenizer_empty_examples_exit_2(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    code, vocab, merges = _train_tokenizer(tmp_path, empty)
+    assert code == 2
+    assert f"error: {empty}: no examples to train on" in capsys.readouterr().err
+    assert not vocab.exists() and not merges.exists()
+
+
+def test_finetune_empty_data_exit_2(tmp_path, corpus_file, capsys):
+    _, examples = _preprocess(tmp_path, corpus_file)
+    _, vocab, merges = _train_tokenizer(tmp_path, examples)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    cfg = _write_config(tmp_path, empty, vocab, merges)
+    assert main(["finetune", "--config", str(cfg)]) == 2
+    assert f"error: {empty}: no training examples" in capsys.readouterr().err
+    assert not (tmp_path / "ck.bin").exists()
+
+
+def test_finetune_hint_shortfall_names_data_file_and_pmid(tmp_path, corpus_file, capsys):
+    # "Drug A is effective ." has 5 words, fewer than 6 hints
+    _, examples = _preprocess(tmp_path, corpus_file)
+    _, vocab, merges = _train_tokenizer(tmp_path, examples)
+    cfg = _write_config(tmp_path, examples, vocab, merges)
+    _set_key(cfg, "n_hints", "6")
+    capsys.readouterr()
+    assert main(["finetune", "--config", str(cfg)]) == 2
+    assert (f"error: {examples}: example '100': target has 5 words, fewer than n_hints=6"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "ck.bin").exists() and not (tmp_path / "loss.csv").exists()
+
+
+def test_finetune_resume_from_weights_without_meta_step_exit_2(tmp_path, corpus_file, capsys):
+    _, examples = _preprocess(tmp_path, corpus_file)
+    _, vocab, merges = _train_tokenizer(tmp_path, examples)
+    cfg = _write_config(tmp_path, examples, vocab, merges)
+    assert main(["finetune", "--config", str(cfg)]) == 0
+    ck = tmp_path / "ck.bin"
+    tensors, _ = read_tensor_map(ck)
+    write_tensor_map(ck, tensors.items())  # a weights file: no meta step line
+    capsys.readouterr()
+    assert main(["finetune", "--config", str(cfg)]) == 2
+    assert f"error: {ck}: checkpoint is missing its meta step line" in capsys.readouterr().err
+
+
 def test_finetune_missing_vocab_makes_no_directory(tmp_path, corpus_file, capsys):
     # the run directory appears with the run's first output, not before
     _, examples = _preprocess(tmp_path, corpus_file)
@@ -451,6 +515,18 @@ def test_score_length_mismatch_exit_2(tmp_path, corpus_file, capsys):
     assert main(["score", "--generated", str(gen), "--references", str(examples),
                  "--out", str(tmp_path / "r.txt")]) == 2
     assert "error: 1 outputs but 2 references" in capsys.readouterr().err
+
+
+def test_score_pmid_mismatch_exit_2(tmp_path, corpus_file, capsys):
+    _, examples = _preprocess(tmp_path, corpus_file)
+    gen = tmp_path / "gen.jsonl"
+    gen.write_text('{"pmid": "200", "n_hints": 0, "output": "a"}\n'
+                   '{"pmid": "100", "n_hints": 0, "output": "b"}\n', encoding="utf-8")
+    report = tmp_path / "r.txt"
+    assert main(["score", "--generated", str(gen), "--references", str(examples),
+                 "--out", str(report)]) == 2
+    assert "error: pmid mismatch: '200' vs '100'" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_score_reads_output_holding_escaped_bytes(tmp_path, corpus_file):

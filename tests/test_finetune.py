@@ -146,19 +146,19 @@ def _fake_example(length):
 
 
 def test_filter_long_strict_boundary():
-    kept = filter_long([_fake_example(499), _fake_example(500), _fake_example(501)])
+    kept = filter_long([_fake_example(499), _fake_example(500), _fake_example(501)], 500)
     assert [len(e) for e in kept] == [499]
 
 
 def test_filter_long_empty():
-    assert filter_long([]) == []
+    assert filter_long([], 500) == []
 
 
 def test_filter_long_identity_and_idempotent():
     examples = [_fake_example(10), _fake_example(20)]
-    once = filter_long(examples)
+    once = filter_long(examples, 500)
     assert once == examples
-    assert filter_long(once) == once
+    assert filter_long(once, 500) == once
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +608,16 @@ def test_resume_logs_each_step_once(tmp_path, tok):
     rows = log.read_text(encoding="utf-8").splitlines()
     assert [row.split(",")[0] for row in rows] == ["step", "1", "2", "3", "4"]
     assert rows[:4] == crashed  # the resumed run repeats step 3 exactly
+
+
+def test_example_that_cannot_be_encoded_names_data_file_and_pmid(tmp_path, tok):
+    cfg = _run_config(tmp_path, tok)
+    write_examples_jsonl(CORPUS[:2] + [RctExample("7", "Drug E was given .", "  ", SECTIONS)],
+                         cfg.data_path)
+    with pytest.raises(ValueError, match=f"^{re.escape(cfg.data_path)}: example '7': "
+                                         "target text is empty$"):
+        run_finetune(cfg)
+    assert not Path(cfg.checkpoint_path).exists() and not Path(cfg.loss_log).exists()
 
 
 def _loss_rows(steps):

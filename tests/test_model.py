@@ -11,6 +11,7 @@ from oracles import finite_difference_grads, grad_error
 
 from prefixlm.finetune import load_model_weights
 from prefixlm.model import (
+    KVCache,
     Model,
     ModelConfig,
     WeightFileError,
@@ -112,20 +113,20 @@ def test_embed_zero_tables():
     params = init_params(TINY, 0)
     params["embed_token"].data[:] = 0
     params["embed_pos"].data[:] = 0
-    out = Model(TINY, params).embed([1, 2, 3])
+    out = Model(TINY, params).embed([1, 2, 3], [(0, 3)])
     np.testing.assert_array_equal(out.data, np.zeros((3, 8)))
 
 
 def test_embed_is_token_plus_position():
     m = tiny_model()
-    out = m.embed([7])
+    out = m.embed([7], [(0, 1)])
     expected = m.params["embed_token"].data[7] + m.params["embed_pos"].data[0]
     np.testing.assert_array_equal(out.data[0], expected)
 
 
 def test_embed_position_difference():
     m = tiny_model()
-    out = m.embed([5, 5])
+    out = m.embed([5, 5], [(0, 2)])
     diff = m.params["embed_pos"].data[1] - m.params["embed_pos"].data[0]
     np.testing.assert_allclose(out.data[1] - out.data[0], diff, atol=1e-6)
 
@@ -133,7 +134,7 @@ def test_embed_position_difference():
 def test_embed_length_cap():
     m = tiny_model()
     with pytest.raises(ValueError, match="max_positions"):
-        m.embed(list(range(TINY.max_positions + 1)))
+        m.embed(list(range(TINY.max_positions + 1)), [(0, TINY.max_positions + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +146,7 @@ def _one_head(q, k, v, m):
     """attention over one head of the given query, key and value rows, with
     an m-row source."""
     qkv = np.concatenate([np.asarray(a, dtype=np.float64) for a in (q, k, v)], axis=1)
-    return attention(Tensor(qkv), [(len(qkv), m, None)], 1).data
+    return attention(Tensor(qkv), [(len(qkv), m, (0, len(qkv)))], 1).data
 
 
 def test_attention_single_key():
@@ -188,7 +189,8 @@ def _self_attention(x, m, block, n_heads):
     """A block's attention sublayer: fused projection, attention, output
     projection, with an m-row source."""
     qkv = matmul(x, block["attn_qkv.weight"])
-    return matmul(attention(qkv, [(len(x.data), m, None)], n_heads), block["attn_out.weight"])
+    t = len(x.data)
+    return matmul(attention(qkv, [(t, m, (0, t))], n_heads), block["attn_out.weight"])
 
 
 def test_mhsa_identity_projections_single_position():
@@ -255,7 +257,7 @@ def test_ffn_constant_bias():
     block = _feed_forward_block(3, d_ff=4)
     block["ffn_b2.bias"] = Tensor([1.0, 2.0, 3.0])
     x = np.random.default_rng(0).normal(size=(5, 3)).astype(np.float32)
-    out = block_forward(Tensor(x), [(5, 5, None)], block, n_heads=1)
+    out = block_forward(Tensor(x), [(5, 5, (0, 5))], block, n_heads=1)
     np.testing.assert_allclose(out.data, x + np.tile([1.0, 2.0, 3.0], (5, 1)), atol=1e-7)
 
 
@@ -265,9 +267,9 @@ def test_ffn_is_position_wise():
     block["ffn_w1.weight"] = Tensor(rng.normal(size=(4, 6)))
     block["ffn_w2.weight"] = Tensor(rng.normal(size=(6, 4)))
     x = rng.normal(size=(3, 4)).astype(np.float32)
-    out = block_forward(Tensor(x), [(3, 3, None)], block, n_heads=1).data
+    out = block_forward(Tensor(x), [(3, 3, (0, 3))], block, n_heads=1).data
     perm = [2, 0, 1]
-    out_perm = block_forward(Tensor(x[perm]), [(3, 3, None)], block, n_heads=1).data
+    out_perm = block_forward(Tensor(x[perm]), [(3, 3, (0, 3))], block, n_heads=1).data
     np.testing.assert_array_equal(out_perm, out[perm])
 
 
@@ -276,7 +278,7 @@ def test_ffn_hand_case():
     block["ffn_w1.weight"] = Tensor([[-2.0, 3.0]])
     block["ffn_w2.weight"] = Tensor([[1.0], [1.0]])
     block["ln2.bias"] = Tensor([1.0])  # a 1-wide layer norm outputs its beta: the input is 1
-    out = block_forward(Tensor([[1.0]]), [(1, 1, None)], block, n_heads=1)
+    out = block_forward(Tensor([[1.0]]), [(1, 1, (0, 1))], block, n_heads=1)
     np.testing.assert_allclose(out.data, [[1.0 + 3.0]], atol=1e-7)
 
 
@@ -286,11 +288,11 @@ def test_block_zero_weights_is_residual_passthrough():
     block["attn_qkv.weight"] = Tensor(np.zeros((d, 3 * d)))
     block["attn_out.weight"] = Tensor(np.zeros((d, d)))
     x = np.random.default_rng(6).normal(size=(3, d)).astype(np.float32)
-    out = block_forward(Tensor(x), [(3, 0, None)], block, n_heads=2)
+    out = block_forward(Tensor(x), [(3, 0, (0, 3))], block, n_heads=2)
     np.testing.assert_array_equal(out.data, x)
     # a feed-forward output bias shifts every row by that constant
     block["ffn_b2.bias"] = Tensor(np.full(d, 0.5, dtype=np.float32))
-    out = block_forward(Tensor(x), [(3, 0, None)], block, n_heads=2)
+    out = block_forward(Tensor(x), [(3, 0, (0, 3))], block, n_heads=2)
     np.testing.assert_allclose(out.data, x + 0.5, atol=1e-7)
 
 
@@ -298,7 +300,7 @@ def test_block_preserves_shape():
     params = init_params(TINY, 7)
     for t in (1, 3, 6):
         x = Tensor(np.random.default_rng(t).normal(size=(t, 8)).astype(np.float32))
-        out = block_forward(x, [(t, 0, None)], params.block(0), 2)
+        out = block_forward(x, [(t, 0, (0, t))], params.block(0), 2)
         assert out.shape == (t, 8)
 
 
@@ -338,7 +340,7 @@ def test_block_golden_straight_line_recompute():
     golden = hidden @ bp["ffn_w2.weight"].data
     golden = golden + bp["ffn_b2.bias"].data + h
 
-    out = block_forward(Tensor(x, dtype=np.float64), [(t, 0, None)], bp, heads)
+    out = block_forward(Tensor(x, dtype=np.float64), [(t, 0, (0, t))], bp, heads)
     np.testing.assert_allclose(out.data, golden, atol=1e-12)
 
 
@@ -461,6 +463,17 @@ def test_cached_decoding_matches_full_forward(m, n_hints):
         model.prefill(tokens[:prompt], m)
 
 
+def test_forward_rows_with_a_cache_refused_under_a_tape():
+    """Cached attention runs off the tape whoever calls it, and is refused
+    before any cache row is written."""
+    model = tiny_model()
+    shape = (TINY.n_layers, TINY.n_heads, TINY.max_positions, TINY.d_k)
+    cache = KVCache(np.zeros(shape, np.float32), np.zeros(shape, np.float32))
+    with ComputationTape(), pytest.raises(GraphError, match="outside any tape"):
+        model.forward_rows([([1, 2, 3], 2, (0, 3))], cache)
+    assert not cache.keys.any() and not cache.values.any()
+
+
 @pytest.mark.parametrize("rows", [(0, 6), (2, 5), (5, 6)])
 @pytest.mark.parametrize("n_layers", [1, 2])
 def test_forward_rows_match_forward_slice(n_layers, rows):
@@ -470,37 +483,6 @@ def test_forward_rows_match_forward_slice(n_layers, rows):
     full = model.forward(tokens, mask).data
     out = model.forward_rows([(tokens, 3, rows)]).data
     np.testing.assert_allclose(out, full[rows[0]:rows[1]], rtol=0, atol=1e-5)
-
-
-def _logits_and_grads(model, segments):
-    """forward_rows' logits, and every parameter's gradient of their
-    cross-entropy against fixed targets."""
-    model.params.zero_grads()
-    with ComputationTape():
-        logits = model.forward_rows(segments)
-        targets = np.arange(logits.shape[0]) % model.config.vocab_size
-        backward(cross_entropy(logits, targets))
-    return [logits.data] + [p.grad for p in model.params.values()]
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("full, same", [
-    # alone
-    ([([3, 1, 4, 1, 5, 9], 3, (0, 6))], [([3, 1, 4, 1, 5, 9], 3, None)]),
-    # packed, every row of each segment asked for
-    ([([3, 1, 4, 1], 2, (0, 4)), ([5, 9, 2], 0, (0, 3))],
-     [([3, 1, 4, 1], 2, None), ([5, 9, 2], 0, None)]),
-    # packed beside a segment that asks for some of its rows
-    ([([3, 1, 4, 1], 2, (0, 4)), ([5, 9, 2, 6], 1, (1, 4))],
-     [([3, 1, 4, 1], 2, None), ([5, 9, 2, 6], 1, (1, 4))]),
-])
-def test_forward_rows_all_rows_given_as_a_range_match_none(dtype, full, same):
-    """rows=(0, n) is rows=None bit for bit, logits and gradients: the last
-    block slices its input only when some segment leaves rows out."""
-    model = Model(TINY, init_params(TINY, seed=35, dtype=dtype))
-    for got, want in zip(_logits_and_grads(model, full), _logits_and_grads(model, same)):
-        assert got.dtype == want.dtype == dtype
-        assert np.array_equal(got, want)
 
 
 def test_forward_rows_reject_source_longer_than_sequence():

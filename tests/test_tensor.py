@@ -368,9 +368,9 @@ OPS = {
     "slice_rows": lambda ts: _weighted(slice_rows(ts[0], [(1, 3)])),
     "slice_rows_overlapping": lambda ts: _weighted(slice_rows(ts[0], [(2, 4), (0, 3)])),
     # 2 heads of width 2
-    "attention": lambda ts: _weighted(attention(ts[0], [(4, 0, None)], 2)),
+    "attention": lambda ts: _weighted(attention(ts[0], [(4, 0, (0, 4))], 2)),
     # two packed sequences of 2 rows, the second scoring its last row only
-    "attention_packed": lambda ts: _weighted(attention(ts[0], [(2, 1, None), (2, 0, (1, 2))], 2)),
+    "attention_packed": lambda ts: _weighted(attention(ts[0], [(2, 1, (0, 2)), (2, 0, (1, 2))], 2)),
 }
 
 
@@ -451,7 +451,7 @@ def test_attention_matches_per_head_reference(n_heads, rule):
     qkv = np.random.default_rng(n_heads).normal(size=(5, 36))  # d = 12
     w = np.random.default_rng(99).normal(size=(5, 12))
     results = []
-    for op in (lambda x: attention(x, [(5, m, None)], n_heads),
+    for op in (lambda x: attention(x, [(5, m, (0, 5))], n_heads),
                lambda x: reference_attention(x, mask, n_heads)):
         leaf = t64(qkv, requires_grad=True)
         with ComputationTape():
@@ -470,9 +470,10 @@ def test_cached_attention_matches_one_full_call(start, rule):
     m = SOURCE_LENGTHS[rule]
     qkv = np.random.default_rng(start).normal(size=(5, 36))
     keys, values = np.full((3, 8, 4), np.nan), np.full((3, 8, 4), np.nan)
-    attention(t64(qkv[:start]), [(start, min(m, start), None)], 3, (keys, values, 0))
-    out = attention(t64(qkv[start:]), [(5 - start, m, None)], 3, (keys, values, start)).data
-    full = attention(t64(qkv), [(5, m, None)], 3).data
+    attention(t64(qkv[:start]), [(start, min(m, start), (0, start))], 3, (keys, values, 0))
+    out = attention(t64(qkv[start:]), [(5 - start, m, (0, 5 - start))], 3,
+                    (keys, values, start)).data
+    full = attention(t64(qkv), [(5, m, (0, 5))], 3).data
     np.testing.assert_allclose(out, full[start:], rtol=0, atol=1e-12)
     # the cache holds the projection's keys and values, heads first
     k, v = (qkv[:, j * 12 : (j + 1) * 12].reshape(5, 3, 4).transpose(1, 0, 2) for j in (1, 2))
@@ -492,7 +493,7 @@ def test_attention_query_rows_match_full_call(rows, rule):
     w = np.zeros((5, 12))
     w[a:b] = np.random.default_rng(98).normal(size=(b - a, 12))
     results = []
-    for q_rows, weight in ((rows, w[a:b]), (None, w)):
+    for q_rows, weight in ((rows, w[a:b]), ((0, 5), w)):
         leaf = t64(qkv, requires_grad=True)
         with ComputationTape():
             out = attention(leaf, [(5, m, q_rows)], 3)
@@ -512,22 +513,23 @@ def test_cached_attention_query_rows(start):
     # queries of its rows only
     qkv = np.random.default_rng(start).normal(size=(5, 36))
     keys, values = np.full((3, 8, 4), np.nan), np.full((3, 8, 4), np.nan)
-    attention(t64(qkv[:start]), [(start, min(2, start), None)], 3, (keys, values, 0))
+    attention(t64(qkv[:start]), [(start, min(2, start), (0, start))], 3, (keys, values, 0))
     out = attention(t64(qkv[start:]), [(5 - start, 2, (4 - start, 5 - start))], 3,
                     (keys, values, start))
-    full = attention(t64(qkv), [(5, 2, None)], 3).data
+    full = attention(t64(qkv), [(5, 2, (0, 5))], 3).data
     np.testing.assert_allclose(out.data, full[4:5], rtol=0, atol=1e-12)
     assert not np.isnan(keys[:, :5]).any() and np.isnan(keys[:, 5:]).all()
 
 
 @st.composite
 def _segments(draw):
-    """1-3 packed segments (n, m, rows) with n in [1, 9] and m in [0, n]."""
+    """1-3 packed segments (n, m, rows) with n in [1, 9], m in [0, n] and
+    query rows (a, b), all n rows half of the time."""
     segments = []
     for _ in range(draw(st.integers(1, 3))):
         n = draw(st.integers(1, 9))
         m = draw(st.integers(0, n))
-        rows = None
+        rows = (0, n)
         if draw(st.booleans()):
             a = draw(st.integers(0, n - 1))
             rows = (a, draw(st.integers(a + 1, n)))
@@ -552,8 +554,7 @@ def test_attention_matches_dense_mask_oracle(seed, segments, n_heads):
         backward(sum_all(mul(out, w)))
     with ComputationTape():
         loss, offset, r = None, 0, 0
-        for n, m, rows in segments:
-            a, b = (0, n) if rows is None else rows
+        for n, m, (a, b) in segments:
             first = max(m, 1)
             x = slice_rows(ref_leaf, [(offset, offset + n)])
             ref = slice_rows(reference_attention(x, build_prefix_mask(first, n - first), n_heads),
@@ -578,10 +579,10 @@ def test_cached_attention_matches_full_call_at_any_split(seed, n, data):
     qkv = np.random.default_rng(seed).normal(size=(n, 24))  # 2 heads of width 4
     for m in (data.draw(st.integers(0, start)), data.draw(st.integers(start + 1, n))):
         keys, values = np.full((2, 10, 4), np.nan), np.full((2, 10, 4), np.nan)
-        head = attention(t64(qkv[:start]), [(start, min(m, start), None)], 2,
+        head = attention(t64(qkv[:start]), [(start, min(m, start), (0, start))], 2,
                          (keys, values, 0)).data
         out = attention(t64(qkv[start:]), [(n - start, m, rows)], 2, (keys, values, start)).data
-        full = attention(t64(qkv), [(n, m, None)], 2).data
+        full = attention(t64(qkv), [(n, m, (0, n))], 2).data
         np.testing.assert_allclose(out, full[start + rows[0]:start + rows[1]],
                                    rtol=0, atol=1e-12)
         if m <= start:
@@ -604,15 +605,15 @@ def test_attention_rejects_query_rows_mismatch():
 def test_attention_rejects_mismatched_shapes():
     qkv = t64(np.zeros((3, 12)))
     with pytest.raises(ShapeError):
-        attention(qkv, [(3, 0, None)], 3)  # 12 columns are not 3 blocks of 3 heads
+        attention(qkv, [(3, 0, (0, 3))], 3)  # 12 columns are not 3 blocks of 3 heads
     with pytest.raises(ShapeError, match="add up"):
-        attention(qkv, [(2, 0, None), (2, 0, None)], 2)
+        attention(qkv, [(2, 0, (0, 2)), (2, 0, (0, 2))], 2)
     # after 2 cached positions the source may span 5 positions; the cache stays unwritten
     keys, values = np.full((2, 8, 3), np.nan), np.full((2, 8, 3), np.nan)
     with pytest.raises(ShapeError, match="source length 6 out of range for 5"):
-        attention(qkv, [(3, 6, None)], 2, (keys, values, 2))
+        attention(qkv, [(3, 6, (0, 3))], 2, (keys, values, 2))
     with pytest.raises(ShapeError, match="one segment"):
-        attention(qkv, [(1, 0, None), (2, 0, None)], 2, (keys, values, 2))
+        attention(qkv, [(1, 0, (0, 1)), (2, 0, (0, 2))], 2, (keys, values, 2))
     assert np.isnan(keys).all() and np.isnan(values).all()
 
 

@@ -26,7 +26,7 @@ x = Tensor(np.array([[1.0, 2.0]]), dtype=np.float64)
 # one linear layer with a ReLU, scored as logits of class 1
 with ComputationTape():
     logits = relu(add(matmul(x, w), b))
-    loss = cross_entropy(logits, [1])
+    loss = cross_entropy(logits, [1], [1.0])  # one weight per row
     backward(loss)
 
 print("loss:", loss.item())
@@ -56,7 +56,7 @@ beta = Tensor(np.zeros(2), dtype=np.float64)
 print("\nlayer_norm [1, 3] ->", layer_norm(row, gamma, beta, eps=1e-12).data)
 
 logits = Tensor(np.array([[1.0, 2.0]]), dtype=np.float64)
-print("cross_entropy([1,2], target 0) =", cross_entropy(logits, [0]).item())
+print("cross_entropy([1,2], target 0) =", cross_entropy(logits, [0], [1.0]).item())
 
 # no gradient exists until the first backward reaches p; later ones add in
 # until zero_grad drops the buffer, which is what the trainer relies on
@@ -64,7 +64,7 @@ p = Tensor(np.array([[2.0, 0.0]]), requires_grad=True, dtype=np.float64)
 print("\ngrad before any backward pass:", p.grad)
 for _ in range(3):
     with ComputationTape():
-        backward(cross_entropy(p, [0]))
+        backward(cross_entropy(p, [0], [1.0]))
 print("grad after three backward passes (3 * (softmax - one-hot)):", p.grad)
 p.zero_grad()
 print("after zero_grad:", p.grad)

@@ -124,12 +124,10 @@ def cmd_preprocess(args) -> dict:
     stats = corpus_stats(examples)
     print(f"parsed {len(abstracts)} abstracts -> {stats['count']} examples "
           f"({skipped} skipped)")
-    print(f"mean source: {stats['mean_source_words']} words"
-          + (f" ({stats['mean_source_sentences']} sentences)"
-             if stats["mean_source_sentences"] is not None else ""))
-    print(f"mean target: {stats['mean_target_words']} words"
-          + (f" ({stats['mean_target_sentences']} sentences)"
-             if stats["mean_target_sentences"] is not None else ""))
+    print(f"mean source: {stats['mean_source_words']} words "
+          f"({stats['mean_source_sentences']} sentences)")
+    print(f"mean target: {stats['mean_target_words']} words "
+          f"({stats['mean_target_sentences']} sentences)")
     return dict(out_path=args.out, inputs={"corpus": args.corpus, "sections": args.sections},
                 outputs=[args.out])
 
@@ -154,8 +152,8 @@ def cmd_finetune(args) -> dict:
     def log(step, loss):
         print(f"step {step}/{cfg.steps}  loss {loss:.4f}")
 
-    _, _, last_step = run_finetune(cfg, log=log)
-    print(f"saved checkpoint at step {last_step} -> {cfg.checkpoint_path}")
+    run_finetune(cfg, log=log)
+    print(f"saved checkpoint at step {cfg.steps} -> {cfg.checkpoint_path}")
     outputs = [cfg.checkpoint_path] + ([cfg.loss_log] if cfg.loss_log else [])
     return dict(out_path=cfg.checkpoint_path, inputs={"data": cfg.data_path},
                 outputs=outputs, seed=cfg.seed, config=args.config)

@@ -176,35 +176,16 @@ def build_examples(abstracts, sections):
 
 
 def corpus_stats(examples) -> dict:
-    """Example count and mean word/sentence lengths (1 decimal place).
-
-    Sentence means are None when sentence counts are unavailable (e.g.
-    examples re-read from JSONL).
-    """
+    """Example count and mean word/sentence lengths (1 decimal place) of the
+    examples build_examples returns, which carry their sentence counts."""
     examples = list(examples)
     n = max(len(examples), 1)  # an empty list gives 0 and 0.0 means
-    have_sentences = all(
-        e.source_sentences is not None and e.target_sentences is not None
-        for e in examples
-    )
     return {
         "count": len(examples),
-        "mean_source_words": round(
-            sum(len(e.source_text.split()) for e in examples) / n, 1
-        ),
-        "mean_source_sentences": round(
-            sum(e.source_sentences for e in examples) / n, 1
-        )
-        if have_sentences
-        else None,
-        "mean_target_words": round(
-            sum(len(e.target_text.split()) for e in examples) / n, 1
-        ),
-        "mean_target_sentences": round(
-            sum(e.target_sentences for e in examples) / n, 1
-        )
-        if have_sentences
-        else None,
+        "mean_source_words": round(sum(len(e.source_text.split()) for e in examples) / n, 1),
+        "mean_source_sentences": round(sum(e.source_sentences for e in examples) / n, 1),
+        "mean_target_words": round(sum(len(e.target_text.split()) for e in examples) / n, 1),
+        "mean_target_sentences": round(sum(e.target_sentences for e in examples) / n, 1),
     }
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "TrainingConfig",
     "ConfigError",
     "split_hint_words",
+    "encode_source",
     "prepare_example",
     "filter_long",
     "sgd_update",
@@ -202,7 +203,7 @@ def save_checkpoint(path, params: ModelParams, state: OptimizerState, step: int)
             (f"optimizer.{name}.velocity", v if v is not None else np.zeros_like(p.data))
         )
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    write_tensor_map(path, items, meta_step=step)
+    write_tensor_map(path, items, step)
 
 
 def _read_params(path, config: ModelConfig):
@@ -295,6 +296,8 @@ def parse_training_config(path) -> TrainingConfig:
             raise ConfigError(f"{path}: missing config key {f.name!r}")
         value = raw.pop(f.name)
         try:
+            if not value and f.default is MISSING:  # an empty path names no file
+                raise ValueError("empty")
             # annotations are strings here (postponed evaluation)
             v = kwargs[f.name] = {"int": int, "float": float}.get(f.type, str)(value)
             if f.type == "float" and not np.isfinite(v):
@@ -336,7 +339,7 @@ def run_finetune(cfg: TrainingConfig, log=None):
 
     Resumes from cfg.checkpoint_path when that file already exists. Batches
     cycle through the (filtered) examples in file order, so a fixed seed and
-    config reproduce the run bit for bit. Returns (model, state, last_step).
+    config reproduce the run bit for bit.
     """
     tokenizer = load_vocabulary(cfg.vocab_file, cfg.merges_file)
     examples = read_examples_jsonl(cfg.data_path)
@@ -394,4 +397,3 @@ def run_finetune(cfg: TrainingConfig, log=None):
         if log is not None:
             log(step + 1, loss)
     save_checkpoint(cfg.checkpoint_path, model.params, state, cfg.steps)
-    return model, state, cfg.steps

@@ -348,7 +348,7 @@ def param_count(config: ModelConfig) -> int:
 _MAGIC = b"PFXLM1"
 
 
-def write_tensor_map(path, items, meta_step: int | None = None):
+def write_tensor_map(path, items, meta_step: int):
     """Write (name, array) pairs: text header/meta lines, raw f32 payloads.
 
     The file reaches disk through data._write_atomic, so a crash mid-write
@@ -356,7 +356,7 @@ def write_tensor_map(path, items, meta_step: int | None = None):
     meta step, which read_tensor_map would refuse, is refused before anything
     is written.
     """
-    if meta_step is not None and meta_step < 0:
+    if meta_step < 0:
         raise WeightFileError(f"{path}: bad meta step {meta_step!r}")
     items = list(items)
     seen = set()
@@ -372,8 +372,7 @@ def write_tensor_map(path, items, meta_step: int | None = None):
             dims = " ".join(str(s) for s in arr.shape)
             yield f"{name}\t{arr.ndim}\t{dims}\n".encode()
             yield arr.tobytes()
-        if meta_step is not None:
-            yield f"meta\t{meta_step}\n".encode()
+        yield f"meta\t{meta_step}\n".encode()
 
     _write_atomic(path, chunks())
 
@@ -449,7 +448,7 @@ def read_tensor_map(path):
     return tensors, meta_step
 
 
-def params_from_tensors(tensors, config: ModelConfig, source="tensor map") -> ModelParams:
+def params_from_tensors(tensors, config: ModelConfig, source) -> ModelParams:
     """Validate a {name: array} map against the config and build float32 params."""
     expected = {name: shape for name, shape, _ in param_spec(config)}
     check_tensors(tensors, expected, source)

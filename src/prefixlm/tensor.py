@@ -17,7 +17,6 @@ __all__ = [
     "ComputationTape",
     "ShapeError",
     "GraphError",
-    "active_tape",
     "matmul",
     "transpose",
     "add",
@@ -73,11 +72,6 @@ class ComputationTape:
         return len(self._records)
 
 
-def active_tape():
-    """The currently active tape, or None outside any tape context."""
-    return _active_tape
-
-
 class Tensor:
     """A dense n-dimensional value, optionally participating in a tape.
 
@@ -106,16 +100,8 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def dtype(self):
         return self.data.dtype
-
-    @property
-    def size(self):
-        return self.data.size
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -289,14 +275,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     return _wrap(xhat * gamma.data + beta.data, (x, gamma, beta), bw)
 
 
-def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
+def cross_entropy(logits: Tensor, targets, weights) -> Tensor:
     """Weighted negative log-likelihood: the sum over rows of the row's
     weight times -log softmax(row)[target].
 
     `targets` holds one class id per row of `logits` and `weights` one weight
-    per row, 1/rows each (the mean) when None; a row of weight 0 is left out.
+    per row; weights of 1/rows give the mean, and a row of weight 0 is left out.
     """
-    if logits.ndim != 2:
+    if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy needs 2-d logits, got {logits.shape}")
     t, v = logits.shape
     if t == 0:
@@ -304,12 +290,9 @@ def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
     targets = np.asarray(targets, dtype=np.int64)
     if targets.shape != (t,):
         raise ShapeError(f"targets must have shape ({t},), got {targets.shape}")
-    if weights is None:
-        weights = np.ones(t, dtype=logits.dtype) / t
-    else:
-        weights = np.asarray(weights, dtype=logits.dtype)
-        if weights.shape != (t,):
-            raise ShapeError(f"weights must have shape ({t},), got {weights.shape}")
+    weights = np.asarray(weights, dtype=logits.dtype)
+    if weights.shape != (t,):
+        raise ShapeError(f"weights must have shape ({t},), got {weights.shape}")
     if targets.min() < 0 or targets.max() >= v:
         raise ValueError("cross_entropy: target id out of vocabulary range")
 

@@ -369,7 +369,9 @@ def reference_step(model, batch):
         mask = build_prefix_mask(len(ex.source_ids), t - len(ex.source_ids))
         with ComputationTape():
             logits = model.forward(tokens, mask)
-            loss = cross_entropy(slice_rows(logits, [(first - 1, t - 1)]), ex.target_ids)
+            n = len(ex.target_ids)
+            loss = cross_entropy(slice_rows(logits, [(first - 1, t - 1)]), ex.target_ids,
+                                 np.ones(n, dtype=logits.dtype) / n)
             backward(scale(loss, inv))
         total += loss.item()
     return total * inv

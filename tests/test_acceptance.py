@@ -106,7 +106,7 @@ def test_acceptance_gradient_integrity():
     worst = 0.0
     n_params = 0
     for (_, p), num in zip(params.named(), numeric):
-        n_params += p.size
+        n_params += p.data.size
         worst = max(worst, grad_error(p.grad, num))
     elapsed = time.monotonic() - started
     assert worst < 1e-4, f"worst relative gradient error {worst:.2e}"

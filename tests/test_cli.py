@@ -405,7 +405,14 @@ def test_finetune_out_of_range_count_exit_2(tmp_path, corpus_file, capsys, key, 
     ({"activation": "relu"}, "{cfg}: unknown config key 'activation'"),
     # steps=3 stays on line 4 and line 5 sets it again
     ({"steps": "3\nsteps=1000"}, "{cfg}:5: repeated config key 'steps'"),
-], ids=["heads", "positions", "zero-heads", "activation", "repeated-key"])
+    # an empty path names no file; Path("") is ".", which exists, so an empty
+    # checkpoint_path would be resumed from after every example was encoded
+    ({"checkpoint_path": ""}, "{cfg}: bad value for 'checkpoint_path': ''"),
+    ({"data_path": ""}, "{cfg}: bad value for 'data_path': ''"),
+    ({"vocab_file": ""}, "{cfg}: bad value for 'vocab_file': ''"),
+    ({"merges_file": ""}, "{cfg}: bad value for 'merges_file': ''"),
+], ids=["heads", "positions", "zero-heads", "activation", "repeated-key", "empty-checkpoint",
+        "empty-data", "empty-vocab", "empty-merges"])
 def test_finetune_config_refused_before_any_file(tmp_path, capsys, edits, problem):
     # the data, vocab and merges files do not exist, so reading any of them
     # would fail with another error; the run directory must not be made
@@ -459,8 +466,9 @@ def test_finetune_resume_from_weights_without_meta_step_exit_2(tmp_path, corpus_
     cfg = _write_config(tmp_path, examples, vocab, merges)
     assert main(["finetune", "--config", str(cfg)]) == 0
     ck = tmp_path / "ck.bin"
-    tensors, _ = read_tensor_map(ck)
-    write_tensor_map(ck, tensors.items())  # a weights file: no meta step line
+    data = ck.read_bytes()
+    ck.write_bytes(data.removesuffix(b"meta\t3\n"))  # a weights file: no meta step line
+    assert read_tensor_map(ck)[1] is None
     capsys.readouterr()
     assert main(["finetune", "--config", str(cfg)]) == 2
     assert f"error: {ck}: checkpoint is missing its meta step line" in capsys.readouterr().err
@@ -615,6 +623,44 @@ def test_finetune_killed_then_rerun_matches_uninterrupted(tmp_path, corpus_file,
     assert (killed / "loss.csv").read_bytes() == (straight / "loss.csv").read_bytes()
 
 
+def test_finetune_killed_inside_a_checkpoint_rename_then_rerun_matches(tmp_path, corpus_file):
+    # os.replace is called for the loss-log cut, checkpoint 2, then checkpoint
+    # 4: SIGKILL on the third call lands after checkpoint 4 is fsynced under
+    # its temp name, before it replaces checkpoint 2
+    _, examples = _preprocess(tmp_path, corpus_file)
+    _, vocab, merges = _train_tokenizer(tmp_path, examples)
+    cfg = _write_config(tmp_path, examples, vocab, merges, steps=6)
+    _set_key(cfg, "checkpoint_every", 2)
+    argv = ["finetune", "--config", str(cfg)]
+    script = ("import os, signal, sys\n"
+              "from prefixlm.cli import main\n"
+              "replace, calls = os.replace, []\n"
+              "def kill_on_third_call(src, dst):\n"
+              "    calls.append(dst)\n"
+              "    if len(calls) == 3:\n"
+              "        os.kill(os.getpid(), signal.SIGKILL)\n"
+              "    replace(src, dst)\n"
+              "os.replace = kill_on_third_call\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    for run_name in ("straight", "killed"):
+        run = tmp_path / run_name
+        _set_key(cfg, "checkpoint_path", run / "ck.bin")
+        _set_key(cfg, "loss_log", run / "loss.csv")
+        if run_name == "killed":
+            proc = subprocess.run([sys.executable, "-c", script, *argv], env=_subprocess_env(),
+                                  capture_output=True, timeout=120)
+            assert proc.returncode == -signal.SIGKILL, proc.stderr
+            assert read_tensor_map(run / "ck.bin")[1] == 2
+            assert (run / "ck.bin.tmp").exists()
+            assert len((run / "loss.csv").read_text().splitlines()) == 1 + 4
+        assert main(argv) == 0
+    straight, killed = tmp_path / "straight", tmp_path / "killed"
+    assert (killed / "ck.bin").read_bytes() == (straight / "ck.bin").read_bytes(), \
+        _checkpoint_difference(killed / "ck.bin", straight / "ck.bin")
+    assert (killed / "loss.csv").read_bytes() == (straight / "loss.csv").read_bytes()
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def _checkpoint_difference(path, other) -> str:
     """The first tensor, in file order, whose bytes differ between two
     checkpoints, and the meta step of each."""
@@ -681,7 +727,8 @@ def test_failed_write_keeps_old_file(tmp_path, corpus_file, monkeypatch, capsys,
     monkeypatch.setattr(os, "fsync", _fail_fsync)
     if argv is None:  # an error inside the payload, before the fsync
         with pytest.raises(TypeError):
-            write_tensor_map(targets[0], [("a", np.ones(3, dtype=np.float32)), ("b", object())])
+            write_tensor_map(targets[0], [("a", np.ones(3, dtype=np.float32)), ("b", object())],
+                             1)
     else:
         assert main([command, *argv]) == 2
         assert "error: disk gone" in capsys.readouterr().err

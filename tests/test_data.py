@@ -232,13 +232,6 @@ def test_corpus_stats_hand_fixture():
     assert stats["mean_target_sentences"] == 1.5
 
 
-def test_corpus_stats_without_sentence_counts():
-    examples = [RctExample("1", "a b", "x", SECTIONS)]
-    stats = corpus_stats(examples)
-    assert stats["mean_source_words"] == 2.0
-    assert stats["mean_source_sentences"] is None
-
-
 # ---------------------------------------------------------------------------
 # JSONL interchange
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from prefixlm.model import (
     read_tensor_map,
     write_tensor_map,
 )
-from prefixlm.tensor import Tensor, active_tape, cross_entropy
+from prefixlm.tensor import Tensor, cross_entropy
 
 from oracles import reference_masked_loss, reference_step
 
@@ -280,8 +280,9 @@ def test_training_step_leaves_no_tape_alive(tok):
     tapes = []
 
     def forward_rows(segments):
-        tapes.append(weakref.ref(active_tape()))
-        return Model.forward_rows(model, segments)
+        logits = Model.forward_rows(model, segments)
+        tapes.append(weakref.ref(logits.tape))
+        return logits
 
     model.forward_rows = forward_rows
     # the first two examples share a tape; the third is over the row budget
@@ -299,7 +300,7 @@ def test_parameters_hold_gradients_only_after_a_step(tok, tmp_path):
     # the first gradient creates each buffer; sgd_update reads one per parameter
     model = tiny_model(tok, seed=6)
     path = tmp_path / "w.bin"
-    write_tensor_map(path, [(name, p.data) for name, p in model.params.named()])
+    write_tensor_map(path, [(name, p.data) for name, p in model.params.named()], 0)
     for params in (model.params, load_model_weights(path, model.config)):
         assert [name for name, p in params.named() if p.grad is not None] == []
     training_step(model, [prepare_example(e, 0, tok) for e in CORPUS], OptimizerState())

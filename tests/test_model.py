@@ -604,7 +604,7 @@ def test_init_params_draws_in_file_order(dtype):
 
 
 def test_param_count_matches_instantiated_params():
-    assert param_count(TINY) == sum(p.size for _, p in init_params(TINY, 0).named())
+    assert param_count(TINY) == sum(p.data.size for _, p in init_params(TINY, 0).named())
 
 
 def test_full_scale_param_count():
@@ -637,7 +637,7 @@ def test_config_validation():
 
 
 def _write_params(params, path):
-    write_tensor_map(path, ((name, p.data) for name, p in params.named()))
+    write_tensor_map(path, ((name, p.data) for name, p in params.named()), 0)
 
 
 def test_export_import_roundtrip(tmp_path):
@@ -654,7 +654,7 @@ def test_import_missing_tensor(tmp_path):
     path = tmp_path / "weights.bin"
     params = init_params(TINY, seed=31)
     items = [(n, p.data) for n, p in params.named() if n != "block1.attn_out.weight"]
-    write_tensor_map(path, items)
+    write_tensor_map(path, items, 0)
     with pytest.raises(WeightFileError, match="block1.attn_out.weight"):
         load_model_weights(path, TINY)
 
@@ -666,7 +666,7 @@ def test_import_shape_mismatch(tmp_path):
         (n, p.data if n != "embed_pos" else np.zeros((3, 8), dtype=np.float32))
         for n, p in params.named()
     ]
-    write_tensor_map(path, items)
+    write_tensor_map(path, items, 0)
     with pytest.raises(WeightFileError, match="embed_pos"):
         load_model_weights(path, TINY)
 
@@ -727,9 +727,9 @@ def test_tensor_map_bad_meta_step(tmp_path):
     # a negative step would resume before step 1 and train past `steps`
     for trailer in (b"meta\tx\n", b"meta\t-1\n"):
         path = tmp_path / "map.bin"
-        write_tensor_map(path, [("a", np.zeros(2, dtype=np.float32))])
-        with open(path, "ab") as f:
-            f.write(trailer)
+        write_tensor_map(path, [("a", np.zeros(2, dtype=np.float32))], 0)
+        data = path.read_bytes()
+        path.write_bytes(data.removesuffix(b"meta\t0\n") + trailer)
         with pytest.raises(WeightFileError, match="bad meta step") as err:
             read_tensor_map(path)
         assert str(path) in str(err.value)

@@ -214,18 +214,18 @@ def test_layer_norm_rejects_bad_eps():
 
 def test_cross_entropy_uniform():
     logits = t64(np.zeros((1, 4)))
-    loss = cross_entropy(logits, [2])
+    loss = cross_entropy(logits, [2], [1.0])
     assert abs(loss.item() - math.log(4)) < 1e-9
 
 
 def test_cross_entropy_near_one_hot():
     row = np.zeros((1, 4))
     row[0, 1] = 20.0
-    assert cross_entropy(t64(row), [1]).item() < 1e-6
+    assert cross_entropy(t64(row), [1], [1.0]).item() < 1e-6
 
 
 def test_cross_entropy_hand_case():
-    loss = cross_entropy(t64([[1.0, 2.0]]), [0])
+    loss = cross_entropy(t64([[1.0, 2.0]]), [0], [1.0])
     assert abs(loss.item() - 1.31326) < 1e-4
 
 
@@ -239,23 +239,22 @@ def test_cross_entropy_zero_weight_leaves_a_row_out():
 def test_cross_entropy_weights_scale_each_row():
     logits = np.random.default_rng(4).normal(size=(3, 5))
     targets = [4, 0, 2]
-    per_row = [cross_entropy(t64(logits[i:i + 1]), targets[i:i + 1]).item() for i in range(3)]
+    per_row = [cross_entropy(t64(logits[i:i + 1]), targets[i:i + 1], [1.0]).item()
+               for i in range(3)]
     loss = cross_entropy(t64(logits), targets, [0.5, 0.25, 2.0]).item()
     assert loss == pytest.approx(0.5 * per_row[0] + 0.25 * per_row[1] + 2.0 * per_row[2])
-    # no weights: the mean over rows
-    assert cross_entropy(t64(logits), targets).item() == pytest.approx(sum(per_row) / 3)
 
 
 def test_cross_entropy_rejects_weights_of_other_length():
     with pytest.raises(ShapeError, match="weights"):
         cross_entropy(t64(np.zeros((2, 3))), [0, 1], [1.0])
     with pytest.raises(ValueError, match="no rows"):
-        cross_entropy(t64(np.zeros((0, 3))), [])
+        cross_entropy(t64(np.zeros((0, 3))), [], [])
 
 
 def test_cross_entropy_target_out_of_range():
     with pytest.raises(ValueError):
-        cross_entropy(t64(np.zeros((1, 3))), [3])
+        cross_entropy(t64(np.zeros((1, 3))), [3], [1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,10 @@ from prefixlm.tensor import (
     relu,
 )
 
-# leaves that want gradients are created with requires_grad=True
-w = Tensor(np.array([[0.5, -1.0], [2.0, 0.8]]), requires_grad=True, dtype=np.float64)
-b = Tensor(np.array([0.1, -0.2]), requires_grad=True, dtype=np.float64)
+# a tape records every op run under it; backward adds gradients into every
+# tensor those ops touched, the input x as well as the weights w and b
+w = Tensor(np.array([[0.5, -1.0], [2.0, 0.8]]), dtype=np.float64)
+b = Tensor(np.array([0.1, -0.2]), dtype=np.float64)
 x = Tensor(np.array([[1.0, 2.0]]), dtype=np.float64)
 
 # one linear layer with a ReLU, scored as logits of class 1
@@ -32,6 +33,7 @@ with ComputationTape():
 print("loss:", loss.item())
 print("dloss/dw:\n", w.grad)
 print("dloss/db:", b.grad)
+print("dloss/dx:", x.grad)
 
 # finite-difference spot check on w[0, 0]
 h = 1e-6
@@ -60,7 +62,7 @@ print("cross_entropy([1,2], target 0) =", cross_entropy(logits, [0], [1.0]).item
 
 # no gradient exists until the first backward reaches p; later ones add in
 # until zero_grad drops the buffer, which is what the trainer relies on
-p = Tensor(np.array([[2.0, 0.0]]), requires_grad=True, dtype=np.float64)
+p = Tensor(np.array([[2.0, 0.0]]), dtype=np.float64)
 print("\ngrad before any backward pass:", p.grad)
 for _ in range(3):
     with ComputationTape():

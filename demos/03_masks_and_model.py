@@ -6,6 +6,8 @@ or as a conditional generator (prefix mask: bidirectional source, causal
 target). This demo prints the masks and checks what each one lets leak.
 """
 
+import math
+
 import numpy as np
 
 from prefixlm.model import (
@@ -14,8 +16,13 @@ from prefixlm.model import (
     build_causal_mask,
     build_prefix_mask,
     init_params,
-    param_count,
+    param_spec,
 )
+
+
+def n_params(c):
+    # every tensor of the weights file; the LM head is tied, so adds none
+    return sum(math.prod(shape) for _, shape, _ in param_spec(c))
 
 
 def show(mask):
@@ -33,7 +40,7 @@ config = ModelConfig(
     n_layers=2, d_model=16, n_heads=2, d_ff=32, vocab_size=32, max_positions=16
 )
 model = Model(config, init_params(config, seed=0))
-print(f"\nmodel: {param_count(config):,} parameters "
+print(f"\nmodel: {n_params(config):,} parameters "
       f"({config.n_layers} blocks, d_model {config.d_model})")
 
 tokens = [3, 7, 11, 2, 9, 4]
@@ -66,4 +73,4 @@ print("prefix: every target row moved after source edit:",
 # the full-scale configuration of the same architecture
 full = ModelConfig(n_layers=12, d_model=768, n_heads=12, d_ff=3072,
                    vocab_size=50257, max_positions=1024)
-print(f"\nfull-scale config would have {param_count(full):,} parameters")
+print(f"\nfull-scale config would have {n_params(full):,} parameters")

@@ -5,8 +5,9 @@ punctuation runs before any merging, with one leading space allowed to
 attach to the following run; merges never cross unit boundaries, so no
 token ever mixes letters and digits. Segmentation maps each character to
 a one-letter category code and splits the code string with one regular
-expression. All 256 single bytes are always in the vocabulary, which
-makes every byte string encodable.
+expression. Text is a str, with bytes that are not UTF-8 as surrogate
+escapes; all 256 single bytes are in the vocabulary, so every text encodes
+and `decode(encode(text))` gives it back.
 
 Training and encoding work on lists of token ids and share `_merge`. A
 training merge changes only the pair counts beside its sites, so it costs
@@ -108,11 +109,8 @@ _LATIN1_CODES = {o: _category_code(chr(o)) for o in range(256)}
 _UNIT = re.compile(r"S?l+|S?d+|S?o+|[sS]+?(?=S[ldo])|[sS]+")
 
 
-def _segment(text) -> list[str]:
-    """Split a str, or bytes read as UTF-8 (bad bytes as surrogate escapes),
-    into category runs, attaching a single leading space to each run."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8", errors="surrogateescape")
+def _segment(text: str) -> list[str]:
+    """Split text into category runs, attaching one leading space to each run."""
     codes = text.translate(_LATIN1_CODES)
     if not codes.isascii():  # classify each distinct code point above 255 once
         codes = codes.translate(
@@ -172,8 +170,8 @@ class Tokenizer:
 
     # -- encoding -----------------------------------------------------------
 
-    def encode(self, text) -> list[int]:
-        """Token ids for a str (UTF-8) or raw bytes value."""
+    def encode(self, text: str) -> list[int]:
+        """Token ids of a str, surrogate escapes of bytes included."""
         ids: list[int] = []
         for unit in _segment(text):
             cached = self._unit_cache.get(unit)
@@ -196,12 +194,9 @@ class Tokenizer:
 
     # -- decoding -----------------------------------------------------------
 
-    def decode_bytes(self, ids) -> bytes:
-        return b"".join(self.vocab.token_of(i) for i in ids)
-
     def decode(self, ids) -> str:
-        """Exact inverse of encode for str input (byte-exact via escape hatch)."""
-        return self.decode_bytes(ids).decode("utf-8", errors="surrogateescape")
+        """Exact inverse of encode: bytes that are not UTF-8 come back escaped."""
+        return b"".join(map(self.vocab.token_of, ids)).decode("utf-8", errors="surrogateescape")
 
 
 def train_merges(corpus, num_merges: int) -> Tokenizer:

@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .bpe import load_vocabulary, save_vocabulary, train_merges
 from .data import (
+    _refuse_overwrite,
     _write_atomic,
     build_examples,
     corpus_stats,
@@ -117,6 +118,7 @@ def _write_manifest(command: str, started: str, out_path, inputs: dict, outputs:
 
 
 def cmd_preprocess(args) -> dict:
+    _refuse_overwrite({"--out": args.out}, {"--corpus": args.corpus})
     sections = tuple(s for s in args.sections.split(",") if s)
     abstracts = parse_corpus(args.corpus)
     examples, skipped = build_examples(abstracts, sections)
@@ -133,6 +135,8 @@ def cmd_preprocess(args) -> dict:
 
 
 def cmd_train_tokenizer(args) -> dict:
+    _refuse_overwrite({"--out-vocab": args.out_vocab, "--out-merges": args.out_merges},
+                      {"--examples": args.examples})
     examples = read_examples_jsonl(args.examples)
     if not examples:
         raise ValueError(f"{args.examples}: no examples to train on")
@@ -162,6 +166,10 @@ def cmd_finetune(args) -> dict:
 def cmd_generate(args) -> dict:
     cfg = parse_training_config(args.config)
     checkpoint = args.checkpoint or cfg.checkpoint_path
+    _refuse_overwrite({"--out": args.out}, {
+        "--config": args.config, "--examples": args.examples,
+        "--checkpoint" if args.checkpoint else "'checkpoint_path'": checkpoint,
+        "'vocab_file'": cfg.vocab_file, "'merges_file'": cfg.merges_file})
     tokenizer = load_vocabulary(cfg.vocab_file, cfg.merges_file)
     config = cfg.model_config(len(tokenizer.vocab))
     model = Model(config, load_model_weights(checkpoint, config))
@@ -203,6 +211,8 @@ def _read_generated(path):
 
 
 def cmd_score(args) -> dict:
+    _refuse_overwrite({"--out": args.out},
+                      {"--generated": args.generated, "--references": args.references})
     generated = _read_generated(args.generated)
     references = read_examples_jsonl(args.references)
     for (g_pmid, _, _), ref in zip(generated, references):
@@ -221,6 +231,8 @@ def cmd_score(args) -> dict:
 def cmd_eval_aggregate(args) -> dict:
     if not args.annotations and not args.ratings:
         raise ValueError("provide --annotations and/or --ratings")
+    _refuse_overwrite({"--out": args.out},
+                      {"--annotations": args.annotations, "--ratings": args.ratings})
     sections = []
     if args.annotations:
         agg = aggregate_annotations(read_annotations_csv(args.annotations))

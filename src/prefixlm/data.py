@@ -8,6 +8,7 @@ order) as the source and the CONCLUSIONS sentences as the target.
 
 from __future__ import annotations
 
+import codecs
 import functools
 import json
 import os
@@ -59,9 +60,12 @@ _MAX_TEXT_LINE = 1 << 20
 
 def _text_lines(path, error):
     """(line number, line) for each line of a UTF-8 file, read one at a time
-    and without its \n or \r\n ending; a line longer than _MAX_TEXT_LINE
-    bytes or not valid UTF-8 raises `error` naming path:line."""
+    and without its \n or \r\n ending, line 1 also without a byte-order mark
+    (Excel's "CSV UTF-8" writes one); a line longer than _MAX_TEXT_LINE bytes
+    or not valid UTF-8 raises `error` naming path:line."""
     with open(path, "rb") as f:
+        if f.peek(3).startswith(codecs.BOM_UTF8):  # peek, not seek: a pipe cannot go back
+            f.read(3)
         raw_lines = iter(functools.partial(f.readline, _MAX_TEXT_LINE + 1), b"")
         for lineno, raw in enumerate(raw_lines, start=1):
             if len(raw) > _MAX_TEXT_LINE:
@@ -94,6 +98,20 @@ def _write_atomic(path, chunks):
         raise
     finally:
         os.close(directory)
+
+
+def _refuse_overwrite(outputs: dict, inputs: dict, error=ValueError, where=""):
+    """Raise `error` when an output path names the same file as an input or
+    an earlier output; callers ask before writing any file. Both map a flag or key,
+    as the message shows it, to a path; an empty path names no file. Paths
+    compare by os.path.realpath."""
+    seen = {os.path.realpath(p): name for name, p in inputs.items() if p}
+    for name, p in outputs.items():
+        if p:
+            path = os.path.realpath(p)
+            if path in seen:
+                raise error(f"{where}{name} names the same file as {seen[path]}")
+            seen[path] = name
 
 
 def parse_corpus(source) -> list[RctAbstract]:

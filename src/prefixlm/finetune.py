@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .bpe import Tokenizer, load_vocabulary
-from .data import RctExample, _text_lines, _write_atomic, read_examples_jsonl
+from .data import RctExample, _refuse_overwrite, _text_lines, _write_atomic, read_examples_jsonl
 from .model import (
     Model,
     ModelConfig,
@@ -296,8 +296,8 @@ def parse_training_config(path) -> TrainingConfig:
             raise ConfigError(f"{path}: missing config key {f.name!r}")
         value = raw.pop(f.name)
         try:
-            if not value and f.default is MISSING:  # an empty path names no file
-                raise ValueError("empty")
+            if "\0" in value or not value and f.default is MISSING:  # names no file
+                raise ValueError("empty or NUL")
             # annotations are strings here (postponed evaluation)
             v = kwargs[f.name] = {"int": int, "float": float}.get(f.type, str)(value)
             if f.type == "float" and not np.isfinite(v):
@@ -313,6 +313,9 @@ def parse_training_config(path) -> TrainingConfig:
         cfg.model_config(vocab_size=1)
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from e
+    inputs = {repr(k): getattr(cfg, k) for k in ("data_path", "vocab_file", "merges_file")}
+    _refuse_overwrite({repr(k): getattr(cfg, k) for k in ("checkpoint_path", "loss_log")},
+                      {"the config file": path, **inputs}, ConfigError, f"{path}: ")
     return cfg
 
 
@@ -334,7 +337,7 @@ def _cut_loss_log(path: Path, step: int):
     _write_atomic(path, ["".join(rows).encode()])
 
 
-def run_finetune(cfg: TrainingConfig, log=None):
+def run_finetune(cfg: TrainingConfig, log):
     """Fine-tune per the config, checkpointing and logging as it goes.
 
     Resumes from cfg.checkpoint_path when that file already exists. Batches
@@ -394,6 +397,5 @@ def run_finetune(cfg: TrainingConfig, log=None):
             # appended: a rewrite per step is quadratic; _cut_loss_log drops a torn row
             with open(log_path, "a", encoding="utf-8") as f:
                 f.write(f"{step + 1},{loss:.6f}\n")
-        if log is not None:
-            log(step + 1, loss)
+        log(step + 1, loss)
     save_checkpoint(cfg.checkpoint_path, model.params, state, cfg.steps)

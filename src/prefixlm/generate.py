@@ -24,8 +24,8 @@ __all__ = ["GenerationConfig", "generate_greedy"]
 
 @dataclass
 class GenerationConfig:
-    n_hints: int = 0
-    max_new_tokens: int = 128
+    n_hints: int
+    max_new_tokens: int
 
     def __post_init__(self):
         if self.max_new_tokens < 1:

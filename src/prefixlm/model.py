@@ -58,7 +58,6 @@ __all__ = [
     "KVCache",
     "param_spec",
     "init_params",
-    "param_count",
     "params_from_tensors",
     "check_tensors",
     "write_tensor_map",
@@ -319,9 +318,7 @@ def param_spec(config: ModelConfig):
 def _build_params(config: ModelConfig, arrays, dtype) -> ModelParams:
     """ModelParams from arrays given in param_spec order."""
     names = (name for name, _, _ in param_spec(config))
-    return ModelParams(
-        (name, Tensor(a, requires_grad=True, dtype=dtype)) for name, a in zip(names, arrays)
-    )
+    return ModelParams((name, Tensor(a, dtype=dtype)) for name, a in zip(names, arrays))
 
 
 def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
@@ -334,11 +331,6 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams
     }
     arrays = (make[init](shape) for _, shape, init in param_spec(config))
     return _build_params(config, arrays, dtype)
-
-
-def param_count(config: ModelConfig) -> int:
-    """Parameter total implied by the config (LM head is tied, adds nothing)."""
-    return sum(math.prod(shape) for _, shape, _ in param_spec(config))
 
 
 # ---------------------------------------------------------------------------

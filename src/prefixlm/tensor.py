@@ -1,9 +1,9 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Values are numpy arrays (float32 for training throughput, float64 for
-gradient checking). Differentiable operations record themselves on the
-active ComputationTape; backward() replays the tape in reverse and
-accumulates gradients into the participating leaves.
+gradient checking). Every operation run while a ComputationTape is active
+records itself on it; backward() replays the tape in reverse and adds
+gradients into every tensor those operations touched.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ class ComputationTape:
     """Execution-ordered record of differentiable operations.
 
     Single-threaded by design: one tape per training step. Entering the
-    context makes the tape active; ops executed while a tape is active and
-    touching at least one requires_grad tensor are recorded on it.
+    context makes the tape active, and every op executed while it is active
+    is recorded on it.
     """
 
     def __init__(self):
@@ -73,25 +73,22 @@ class ComputationTape:
 
 
 class Tensor:
-    """A dense n-dimensional value, optionally participating in a tape.
+    """A dense n-dimensional value; `tape` is the tape that recorded it.
 
     `data` is always a float32 or float64 numpy array. `grad` is None until
     the first gradient reaches the tensor, leaf and tape output alike;
     gradients then accumulate across backward calls until `zero_grad()`.
-    Every output recorded on a tape has requires_grad set, so that flag
-    alone says whether gradients flow into a tensor.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "tape")
+    __slots__ = ("data", "grad", "tape")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, dtype=None):
         arr = np.asarray(data)
         if dtype is not None:
             arr = arr.astype(dtype, copy=False)
         elif arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
-        self.requires_grad = requires_grad
         self.grad = None
         self.tape = None
 
@@ -113,15 +110,12 @@ class Tensor:
         self.grad = None
 
     def __repr__(self):
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}, dtype={self.dtype.name}{flag})"
+        return f"Tensor(shape={self.shape}, dtype={self.dtype.name})"
 
 
 def _accumulate(t: Tensor, g: np.ndarray, at=None):
     """Add g into t.grad, which the first gradient creates as zeros: into the
     whole array, into a row slice `at`, or at row ids `at` that may repeat."""
-    if not t.requires_grad:
-        return
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     if at is None:
@@ -133,15 +127,12 @@ def _accumulate(t: Tensor, g: np.ndarray, at=None):
 
 
 def _wrap(data: np.ndarray, inputs, backward_fn) -> Tensor:
-    """Make an op output, recording it when grads are live. `data` is already
-    a float32 or float64 array, so Tensor.__init__'s conversion is skipped."""
+    """Make an op output, recorded on the active tape if there is one. `data`
+    is already a float32 or float64 array: Tensor.__init__'s conversion is skipped."""
     out = object.__new__(Tensor)
-    out.data, out.grad, out.tape = data, None, None
-    tape = _active_tape
-    out.requires_grad = tape is not None and any(i.requires_grad for i in inputs)
-    if out.requires_grad:
-        out.tape = tape
-        tape._records.append((out, inputs, backward_fn))
+    out.data, out.grad, out.tape = data, None, _active_tape
+    if _active_tape is not None:
+        _active_tape._records.append((out, inputs, backward_fn))
     return out
 
 

@@ -34,7 +34,7 @@ config = ModelConfig(n_layers=1, d_model=8, n_heads=2, d_ff=16,
 model = Model(config, init_params(config, seed=0))
 example = finetune.prepare_example(RctExample("1", source, "It works .", ()), 0, tok)
 finetune.training_step(model, [example], finetune.OptimizerState())
-generate.generate_greedy(model, source, [], generate.GenerationConfig(max_new_tokens=3), tok)
+generate.generate_greedy(model, source, [], generate.GenerationConfig(n_hints=0, max_new_tokens=3), tok)
 print(json.dumps(sorted({s["name"] for s in rec.spans})))
 """
 

@@ -100,11 +100,27 @@ def test_encode_never_emits_specials(tok):
     assert tok.decode(ids) == "<|endoftext|> and <|sep|>"
 
 
-@given(st.binary(max_size=64))
+def escaped(data: bytes) -> str:
+    """Bytes as the text every reader gives them: bad UTF-8 as surrogate escapes."""
+    return data.decode("utf-8", errors="surrogateescape")
+
+
+# bytes of the same kinds as TRICKY_CHARS, whole and split UTF-8 sequences among them
+TRICKY_BYTES = st.lists(
+    st.sampled_from([b" ", b"\t", b"a", b"1", b".", b"\xc3\xa9", b"\xc3", b"\xff"])
+).map(b"".join)
+# raw bytes: valid and split UTF-8, lone continuation and invalid bytes, runs
+ESCAPED_BYTES = st.one_of(st.binary(max_size=24), TRICKY_BYTES, st.sampled_from(
+    [b"aaaa", b"aaaaa", b"aa aaaa", b"\xff\xff\xff", b"11111", b"\xc3\xa9\xc3\xa9\xc3"]))
+merge_counts = st.sampled_from([0, 1, 3, 8, 40])
+
+
+@given(st.lists(ESCAPED_BYTES, min_size=1, max_size=6), merge_counts,
+       st.one_of(st.binary(max_size=64), ESCAPED_BYTES))
 @settings(max_examples=300, deadline=None)
-def test_roundtrip_arbitrary_bytes(data):
-    t = bare_tokenizer()
-    assert t.decode_bytes(t.encode(data)) == data
+def test_roundtrip_arbitrary_bytes(corpus, k, data):
+    t = train_merges([escaped(b) for b in corpus], k)
+    assert t.decode(t.encode(escaped(data))).encode("utf-8", errors="surrogateescape") == data
 
 
 @given(st.text(max_size=64))
@@ -202,22 +218,15 @@ def test_segment_matches_reference(text):
     assert _segment(text) == reference_segment(text)
 
 
-# bytes of the same kinds, whole and split UTF-8 sequences among them
-TRICKY_BYTES = st.lists(
-    st.sampled_from([b" ", b"\t", b"a", b"1", b".", b"\xc3\xa9", b"\xc3", b"\xff"])
-).map(b"".join)
-
-
 @given(st.one_of(st.binary(), TRICKY_BYTES))
 @settings(max_examples=300, deadline=None)
 def test_segment_matches_reference_on_escaped_bytes(data):
-    text = data.decode("utf-8", errors="surrogateescape")
+    text = escaped(data)
     assert _segment(text) == reference_segment(text)
 
 
 # few symbols, so counts tie and runs like "aaaa" overlap
 small_corpus = st.lists(st.text(alphabet="aab 1.", max_size=12), min_size=1, max_size=6)
-merge_counts = st.sampled_from([0, 1, 3, 8, 40])
 # repeated runs, where merge sites touch (aaaa, abab, aaabaaab), in one-,
 # two- and mixed-byte letters; words of them joined by spaces
 RUN = st.tuples(st.sampled_from(["a", "b", "ab", "aab", "aaab", "\u00e9", "a\u00e9",
@@ -235,29 +244,11 @@ def test_train_merges_matches_reference(corpus, k):
     assert train_merges(corpus, k).merges == reference_merges(corpus, k)
 
 
-@given(st.lists(st.binary(max_size=16), min_size=1, max_size=6), merge_counts)
-@settings(max_examples=200, deadline=None)
-def test_train_merges_matches_reference_on_bytes(corpus, k):
-    assert train_merges(corpus, k).merges == reference_merges(corpus, k)
-
-
-# raw bytes: valid and split UTF-8, lone continuation and invalid bytes, runs
-ESCAPED_BYTES = st.one_of(st.binary(max_size=24), TRICKY_BYTES, st.sampled_from(
-    [b"aaaa", b"aaaaa", b"aa aaaa", b"\xff\xff\xff", b"11111", b"\xc3\xa9\xc3\xa9\xc3"]))
-
-
 @given(st.lists(ESCAPED_BYTES, min_size=1, max_size=6), merge_counts)
-@settings(max_examples=200, deadline=None)
-def test_train_merges_reads_bytes_as_their_escaped_text(corpus, k):
-    decoded = [b.decode("utf-8", errors="surrogateescape") for b in corpus]
-    assert train_merges(corpus, k).merges == train_merges(decoded, k).merges
-
-
-@given(st.lists(ESCAPED_BYTES, min_size=1, max_size=6), merge_counts, ESCAPED_BYTES)
-@settings(max_examples=200, deadline=None)
-def test_encode_reads_bytes_as_their_escaped_text(corpus, k, data):
-    t = train_merges(corpus, k)
-    assert t.encode(data) == t.encode(data.decode("utf-8", errors="surrogateescape"))
+@settings(max_examples=300, deadline=None)
+def test_train_merges_matches_reference_on_bytes(corpus, k):
+    """The oracle reads the bytes themselves; train_merges their escaped text."""
+    assert train_merges([escaped(b) for b in corpus], k).merges == reference_merges(corpus, k)
 
 
 def test_overlapping_pairs_each_count():

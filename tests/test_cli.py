@@ -567,6 +567,19 @@ def test_eval_aggregate_tables(tmp_path, capsys):
     assert "3.50" in text
 
 
+def test_eval_aggregate_reads_a_csv_with_a_byte_order_mark(tmp_path, capsys):
+    # Excel's "CSV UTF-8" export starts the file with one
+    rows = "system,example_id,verdict\r\ns,e0,TP\r\ns,e1,FP\r\n"
+    reports = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        ann, out = tmp_path / f"{encoding}.csv", tmp_path / f"{encoding}.txt"
+        ann.write_text(rows, encoding=encoding)
+        assert main(["eval-aggregate", "--annotations", str(ann), "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert b"50%" in reports[0]
+
+
 def test_eval_aggregate_requires_an_input(tmp_path):
     assert main(["eval-aggregate", "--out", str(tmp_path / "r.txt")]) == 2
 
@@ -623,10 +636,20 @@ def test_finetune_killed_then_rerun_matches_uninterrupted(tmp_path, corpus_file,
     assert (killed / "loss.csv").read_bytes() == (straight / "loss.csv").read_bytes()
 
 
-def test_finetune_killed_inside_a_checkpoint_rename_then_rerun_matches(tmp_path, corpus_file):
-    # os.replace is called for the loss-log cut, checkpoint 2, then checkpoint
-    # 4: SIGKILL on the third call lands after checkpoint 4 is fsynced under
-    # its temp name, before it replaces checkpoint 2
+# In a 6-step run with checkpoint_every=2, data._write_atomic calls os.fsync
+# (the file), os.replace, then os.fsync (the directory) for the loss-log cut
+# (fsync 1, replace 1, fsync 2), checkpoint 2 (fsync 3, replace 2, fsync 4) and
+# checkpoint 4 (fsync 5, replace 3, fsync 6). Each case SIGKILLs the run as the
+# k-th call of one of them begins, and names what the kill leaves: the
+# checkpoint's step (None: no checkpoint), the temp file and the logged rows.
+@pytest.mark.parametrize("function, k, step, tmp, rows", [
+    ("replace", 1, None, "loss.csv.tmp", None),  # inside the cut, at a fresh start
+    ("replace", 3, 2, "ck.bin.tmp", 4),  # checkpoint 4 fsynced, not renamed
+    ("fsync", 5, 2, "ck.bin.tmp", 4),  # checkpoint 4 written, not fsynced
+    ("fsync", 6, 4, None, 4),  # checkpoint 4 renamed, its directory not fsynced
+], ids=["replace-1", "replace-3", "fsync-5", "fsync-6"])
+def test_finetune_killed_at_a_write_boundary_then_rerun_matches(tmp_path, corpus_file,
+                                                                function, k, step, tmp, rows):
     _, examples = _preprocess(tmp_path, corpus_file)
     _, vocab, merges = _train_tokenizer(tmp_path, examples)
     cfg = _write_config(tmp_path, examples, vocab, merges, steps=6)
@@ -634,13 +657,14 @@ def test_finetune_killed_inside_a_checkpoint_rename_then_rerun_matches(tmp_path,
     argv = ["finetune", "--config", str(cfg)]
     script = ("import os, signal, sys\n"
               "from prefixlm.cli import main\n"
-              "replace, calls = os.replace, []\n"
-              "def kill_on_third_call(src, dst):\n"
-              "    calls.append(dst)\n"
-              "    if len(calls) == 3:\n"
+              f"real, calls = os.{function}, 0\n"
+              "def kill_on_kth_call(*args):\n"
+              "    global calls\n"
+              "    calls += 1\n"
+              f"    if calls == {k}:\n"
               "        os.kill(os.getpid(), signal.SIGKILL)\n"
-              "    replace(src, dst)\n"
-              "os.replace = kill_on_third_call\n"
+              "    return real(*args)\n"
+              f"os.{function} = kill_on_kth_call\n"
               "sys.exit(main(sys.argv[1:]))\n")
     for run_name in ("straight", "killed"):
         run = tmp_path / run_name
@@ -650,9 +674,10 @@ def test_finetune_killed_inside_a_checkpoint_rename_then_rerun_matches(tmp_path,
             proc = subprocess.run([sys.executable, "-c", script, *argv], env=_subprocess_env(),
                                   capture_output=True, timeout=120)
             assert proc.returncode == -signal.SIGKILL, proc.stderr
-            assert read_tensor_map(run / "ck.bin")[1] == 2
-            assert (run / "ck.bin.tmp").exists()
-            assert len((run / "loss.csv").read_text().splitlines()) == 1 + 4
+            ck, log = run / "ck.bin", run / "loss.csv"
+            assert (read_tensor_map(ck)[1] if ck.exists() else None) == step
+            assert [p.name for p in run.glob("*.tmp")] == ([tmp] if tmp else [])
+            assert (len(log.read_text().splitlines()) - 1 if log.exists() else None) == rows
         assert main(argv) == 0
     straight, killed = tmp_path / "straight", tmp_path / "killed"
     assert (killed / "ck.bin").read_bytes() == (straight / "ck.bin").read_bytes(), \
@@ -732,6 +757,70 @@ def test_failed_write_keeps_old_file(tmp_path, corpus_file, monkeypatch, capsys,
     else:
         assert main([command, *argv]) == 2
         assert "error: disk gone" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def _same_file(path):
+    """Another spelling of `path`, which only resolving makes equal."""
+    return path.parent / ".." / path.parent.name / path.name
+
+
+@pytest.mark.parametrize("command, flag, same_as", [
+    ("preprocess", "--out", "--corpus"),
+    ("train-tokenizer", "--out-vocab", "--examples"),
+    ("train-tokenizer", "--out-merges", "--out-vocab"),
+    ("generate", "--out", "--examples"),
+    ("generate", "--out", "--config"),
+    ("generate", "--out", "--checkpoint"),
+    ("score", "--out", "--references"),
+    ("eval-aggregate", "--out", "--annotations"),
+])
+def test_output_naming_an_input_is_refused(tmp_path, corpus_file, capsys, command, flag,
+                                           same_as):
+    # refused before any file is written: every file stays as it was, and no manifest appears
+    examples, cfg = _trained(tmp_path, corpus_file)
+    gen, ann, out = tmp_path / "gen.jsonl", tmp_path / "ann.csv", tmp_path / "out"
+    assert main(["generate", "--config", str(cfg), "--examples", str(examples),
+                 "--max-new-tokens", "4", "--out", str(gen)]) == 0
+    ann.write_text("system,example_id,verdict\ns,e0,TP\n")
+    args = {
+        "preprocess": {"--corpus": corpus_file, "--out": out},
+        "train-tokenizer": {"--examples": examples, "--out-vocab": out,
+                            "--out-merges": tmp_path / "out2"},
+        "generate": {"--config": cfg, "--examples": examples,
+                     "--checkpoint": tmp_path / "ck.bin", "--max-new-tokens": 4, "--out": out},
+        "score": {"--generated": gen, "--references": examples, "--out": out},
+        "eval-aggregate": {"--annotations": ann, "--out": out},
+    }[command]
+    args[flag] = _same_file(args[same_as])
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main([command, *(str(a) for pair in args.items() for a in pair)]) == 2
+    assert capsys.readouterr().err == f"error: {flag} names the same file as {same_as}\n"
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize("key, same_as", [
+    ("loss_log", "data_path"),
+    ("checkpoint_path", "data_path"),
+    ("checkpoint_path", "vocab_file"),
+    ("loss_log", "merges_file"),
+    ("checkpoint_path", "the config file"),
+    ("loss_log", "checkpoint_path"),
+])
+def test_finetune_output_naming_another_file_is_refused(tmp_path, corpus_file, capsys, key,
+                                                        same_as):
+    _, examples = _preprocess(tmp_path, corpus_file)
+    _, vocab, merges = _train_tokenizer(tmp_path, examples)
+    cfg = _write_config(tmp_path, examples, vocab, merges)
+    paths = {"data_path": examples, "vocab_file": vocab, "merges_file": merges,
+             "the config file": cfg, "checkpoint_path": tmp_path / "ck.bin"}
+    _set_key(cfg, key, _same_file(paths[same_as]))
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(["finetune", "--config", str(cfg)]) == 2
+    other = same_as if same_as == "the config file" else repr(same_as)
+    assert capsys.readouterr().err == f"error: {cfg}: {key!r} names the same file as {other}\n"
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 

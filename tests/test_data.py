@@ -87,6 +87,17 @@ def test_parse_corpus_crlf_line_endings(tmp_path):
     assert parse_corpus(path) == parse_corpus(FIXTURE.splitlines())
 
 
+def test_text_lines_drop_a_byte_order_mark_on_line_1_only(tmp_path):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(b"\xef\xbb\xbfa\n\xef\xbb\xbfb\n")
+    assert list(data._text_lines(path, ValueError)) == [(1, "a"), (2, "\ufeffb")]
+    path.write_bytes(b"\xef\xbb\xbf")
+    assert list(data._text_lines(path, ValueError)) == []
+    path.write_bytes(b"\xef\xbb")  # part of a mark is not one: not UTF-8 either
+    with pytest.raises(ValueError, match=":1: line is not valid UTF-8"):
+        list(data._text_lines(path, ValueError))
+
+
 def test_text_lines_cap_counts_the_line_ending(tmp_path, monkeypatch):
     monkeypatch.setattr(data, "_MAX_TEXT_LINE", 8)
     path = tmp_path / "lines.txt"

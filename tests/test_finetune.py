@@ -170,7 +170,7 @@ class _OneParam:
     """Minimal stand-in exposing named() like ModelParams."""
 
     def __init__(self, value):
-        self.p = Tensor(np.array([value], dtype=np.float64), requires_grad=True)
+        self.p = Tensor(np.array([value], dtype=np.float64))
 
     def named(self):
         yield "p", self.p
@@ -573,6 +573,10 @@ def test_resume_matches_straight_run(tmp_path, tok):
         np.testing.assert_array_equal(pa.data, pb.data)
 
 
+def _ignore(step, loss):
+    """A run_finetune log that prints nothing."""
+
+
 def _run_config(tmp_path, tok, steps=4, checkpoint_every=2):
     """A TrainingConfig over CORPUS, with its vocab, merges and data files
     written to tmp_path."""
@@ -605,7 +609,7 @@ def test_resume_logs_each_step_once(tmp_path, tok):
     crashed = log.read_text(encoding="utf-8").splitlines()
     assert [row.split(",")[0] for row in crashed] == ["step", "1", "2", "3"]
 
-    run_finetune(cfg)
+    run_finetune(cfg, log=_ignore)
     rows = log.read_text(encoding="utf-8").splitlines()
     assert [row.split(",")[0] for row in rows] == ["step", "1", "2", "3", "4"]
     assert rows[:4] == crashed  # the resumed run repeats step 3 exactly
@@ -617,7 +621,7 @@ def test_example_that_cannot_be_encoded_names_data_file_and_pmid(tmp_path, tok):
                          cfg.data_path)
     with pytest.raises(ValueError, match=f"^{re.escape(cfg.data_path)}: example '7': "
                                          "target text is empty$"):
-        run_finetune(cfg)
+        run_finetune(cfg, log=_ignore)
     assert not Path(cfg.checkpoint_path).exists() and not Path(cfg.loss_log).exists()
 
 
@@ -658,11 +662,11 @@ def test_each_checkpoint_is_written_once(tmp_path, tok, monkeypatch,
 
     monkeypatch.setattr(finetune, "save_checkpoint", spy)
     cfg = _run_config(tmp_path, tok, steps, checkpoint_every)
-    run_finetune(cfg)
+    run_finetune(cfg, log=_ignore)
     assert written == saved
     # a rerun resumes at the last step: nothing trains, the weights are saved as they are
     before = Path(cfg.checkpoint_path).read_bytes()
-    run_finetune(cfg)
+    run_finetune(cfg, log=_ignore)
     assert written == saved + [steps]
     assert Path(cfg.checkpoint_path).read_bytes() == before
 
@@ -703,6 +707,17 @@ def test_parse_training_config(tmp_path):
     assert cfg.momentum == 0.9
     assert cfg.weight_decay == 0.0005
     assert cfg.checkpoint_path == "out/ck.bin"
+
+
+@pytest.mark.parametrize("first_line", ["# desk-scale run\n", ""])
+def test_parse_training_config_with_a_byte_order_mark(tmp_path, first_line):
+    # as a Windows editor saves UTF-8: the mark before a comment or before a key
+    text = first_line + FULL_CONFIG.removeprefix("# desk-scale run\n")
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert parse_training_config(marked) == parse_training_config(plain)
 
 
 def test_parse_training_config_missing_key(tmp_path):

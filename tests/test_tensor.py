@@ -37,8 +37,8 @@ from prefixlm.tensor import (
 NEG_INF = float("-inf")
 
 
-def t64(data, requires_grad=False):
-    return Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad)
+def t64(data):
+    return Tensor(np.asarray(data, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +190,7 @@ def test_layer_norm_matches_mean_oracle(seed, dtype, rows, width, log_scale):
     g = Tensor(rng.normal(size=(rows, width)), dtype=dtype)
     results = []
     for op in (layer_norm, reference_layer_norm):
-        ts = [Tensor(a, requires_grad=True, dtype=dtype) for a in (x, gamma, beta)]
+        ts = [Tensor(a, dtype=dtype) for a in (x, gamma, beta)]
         with ComputationTape():
             out = op(*ts, eps=1e-5)
             loss = sum_all(mul(out, g))  # out's gradient is exactly g
@@ -263,16 +263,28 @@ def test_cross_entropy_target_out_of_range():
 
 
 def test_backward_square():
-    x = t64([[3.0]], requires_grad=True)
+    x = t64([[3.0]])
     with ComputationTape():
         y = sum_all(mul(x, x))
         backward(y)
     np.testing.assert_allclose(x.grad, [[6.0]])
 
 
+def test_tape_records_every_op_and_backward_reaches_every_operand():
+    # no flag marks a parameter: the input x gets its gradient as w does
+    x, w = t64([[1.0, 2.0]]), t64([[3.0], [4.0]])
+    assert matmul(x, w).tape is None  # outside a tape nothing is recorded
+    with ComputationTape() as tape:
+        y = sum_all(matmul(x, w))
+        assert len(tape) == 2 and y.tape is tape
+        backward(y)
+    np.testing.assert_allclose(x.grad, [[3.0, 4.0]])
+    np.testing.assert_allclose(w.grad, [[1.0], [2.0]])
+
+
 def test_backward_unreachable_leaf_keeps_no_gradient():
-    x = t64([[3.0]], requires_grad=True)
-    p = t64([[1.0]], requires_grad=True)
+    x = t64([[3.0]])
+    p = t64([[1.0]])
     with ComputationTape():
         y = sum_all(mul(x, x))
         backward(y)
@@ -280,7 +292,7 @@ def test_backward_unreachable_leaf_keeps_no_gradient():
 
 
 def test_backward_requires_scalar():
-    x = t64([[1.0, 2.0]], requires_grad=True)
+    x = t64([[1.0, 2.0]])
     with ComputationTape():
         y = mul(x, x)
         with pytest.raises(ShapeError):
@@ -288,14 +300,14 @@ def test_backward_requires_scalar():
 
 
 def test_backward_off_tape_value():
-    x = t64([[1.0]], requires_grad=True)
+    x = t64([[1.0]])
     y = sum_all(mul(x, x))  # no active tape: nothing recorded
     with pytest.raises(GraphError):
         backward(y)
 
 
 def test_gradients_accumulate_until_zeroed():
-    x = t64([[2.0]], requires_grad=True)
+    x = t64([[2.0]])
     for _ in range(2):
         with ComputationTape():
             backward(sum_all(mul(x, x)))
@@ -305,7 +317,7 @@ def test_gradients_accumulate_until_zeroed():
 
 
 def test_backward_consumes_its_tape():
-    x = t64([[2.0]], requires_grad=True)
+    x = t64([[2.0]])
     with ComputationTape() as tape:
         y = sum_all(mul(x, x))
         backward(y)
@@ -316,7 +328,7 @@ def test_backward_consumes_its_tape():
 
 
 def test_shared_value_grads_sum():
-    x = t64([[1.5]], requires_grad=True)
+    x = t64([[1.5]])
     with ComputationTape():
         y = mul(x, x)  # d/dx = 2x
         z = sum_all(add(y, y))  # total d/dx = 4x
@@ -343,7 +355,7 @@ def _check_op(build, arrays, tol=1e-4):
         return build([Tensor(a.copy(), dtype=np.float64) for a in arrs]).item()
 
     numeric = finite_difference_grads(value, [a.copy() for a in arrays])
-    leaves = [Tensor(a.copy(), dtype=np.float64, requires_grad=True) for a in arrays]
+    leaves = [Tensor(a.copy(), dtype=np.float64) for a in arrays]
     with ComputationTape():
         backward(build(leaves))
     for leaf, num in zip(leaves, numeric):
@@ -452,7 +464,7 @@ def test_attention_matches_per_head_reference(n_heads, rule):
     results = []
     for op in (lambda x: attention(x, [(5, m, (0, 5))], n_heads),
                lambda x: reference_attention(x, mask, n_heads)):
-        leaf = t64(qkv, requires_grad=True)
+        leaf = t64(qkv)
         with ComputationTape():
             out = op(leaf)
             backward(sum_all(mul(out, t64(w))))
@@ -493,7 +505,7 @@ def test_attention_query_rows_match_full_call(rows, rule):
     w[a:b] = np.random.default_rng(98).normal(size=(b - a, 12))
     results = []
     for q_rows, weight in ((rows, w[a:b]), ((0, 5), w)):
-        leaf = t64(qkv, requires_grad=True)
+        leaf = t64(qkv)
         with ComputationTape():
             out = attention(leaf, [(5, m, q_rows)], 3)
             backward(sum_all(mul(out, t64(weight))))
@@ -545,8 +557,8 @@ def test_attention_matches_dense_mask_oracle(seed, segments, n_heads):
     rng = np.random.default_rng(seed)
     t = sum(n for n, _, _ in segments)
     qkv = rng.normal(size=(t, 3 * 4 * n_heads))
-    leaf = t64(qkv, requires_grad=True)
-    ref_leaf = t64(qkv, requires_grad=True)
+    leaf = t64(qkv)
+    ref_leaf = t64(qkv)
     with ComputationTape():
         out = attention(leaf, segments, n_heads)
         w = t64(rng.normal(size=out.shape))

@@ -13,6 +13,7 @@ import ctypes
 import json
 import os
 import platform
+import re
 import resource
 import sys
 from datetime import datetime, timezone
@@ -54,29 +55,70 @@ from .rouge import (
 VERSION_STRING = f"prefixlm-{__version__}"
 # checkpoints are bit-identical across reruns only at a fixed BLAS thread count
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# the thread-count getter of the OpenBLAS that numpy 2 wheels bundle in numpy.libs
+# the thread-count getter and setter of the OpenBLAS that numpy 2 wheels bundle in numpy.libs
 _BLAS_THREAD_GETTER = "scipy_openblas_get_num_threads64_"
+_BLAS_THREAD_SETTER = "scipy_openblas_set_num_threads64_"
 
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _blas_thread_count():
-    """The thread count of the OpenBLAS bundled with numpy, asked of the
-    loaded library through ctypes, or None when the library or its getter is
-    not found."""
+def _openblas_function(name: str):
+    """The function `name` of the OpenBLAS bundled with numpy, from the loaded
+    library through ctypes, or None when the library or the function is not found."""
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas*")):
         try:
             lib = ctypes.CDLL(str(path))  # the copy numpy already loaded
         except OSError:
             continue
-        getter = getattr(lib, _BLAS_THREAD_GETTER, None)
-        if getter is not None:
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            return getter()
+        function = getattr(lib, name, None)
+        if function is not None:
+            return function
     return None
+
+
+def _blas_thread_count():
+    """The thread count of the OpenBLAS bundled with numpy, or None when the
+    library or its getter is not found."""
+    getter = _openblas_function(_BLAS_THREAD_GETTER)
+    if getter is None:
+        return None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter()
+
+
+def _one_blas_thread_unless_set():
+    """Run BLAS on one thread when no thread variable is set. On two cores a
+    second OpenBLAS thread costs CPU time and saves no wall time, and
+    checkpoints differ across thread counts. Nothing changes when the library
+    or its setter is not found."""
+    if any(os.environ.get(v) for v in _BLAS_THREAD_VARS):
+        return
+    setter = _openblas_function(_BLAS_THREAD_SETTER)
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+
+
+def _git_revision(root):
+    """The commit checked out at `root`, read from root/.git/HEAD directly or
+    through its ref, as a loose ref file or a line of packed-refs; None when
+    there is no .git (an installed package) or no commit is found."""
+    git = Path(root) / ".git"
+    try:
+        head = (git / "HEAD").read_text(encoding="utf-8").strip()
+        if head.startswith("ref: "):
+            ref = head[len("ref: "):]
+            if (git / ref).is_file():
+                head = (git / ref).read_text(encoding="utf-8").strip()
+            else:  # a line of packed-refs is "<sha> <ref>"
+                lines = (git / "packed-refs").read_text(encoding="utf-8").splitlines()
+                head = next((line.split(" ")[0] for line in lines if line.endswith(" " + ref)), "")
+    except (OSError, UnicodeDecodeError):
+        return None
+    return head if re.fullmatch(r"[0-9a-f]{40}|[0-9a-f]{64}", head) else None
 
 
 def _blas():
@@ -105,6 +147,7 @@ def _write_manifest(command: str, started: str, out_path, inputs: dict, outputs:
         "blas": _blas(),
         "blas_threads": {v: os.environ.get(v) for v in _BLAS_THREAD_VARS},
         "blas_thread_count": _blas_thread_count(),
+        "git_revision": _git_revision(Path(__file__).resolve().parents[2]),
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
@@ -310,6 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _one_blas_thread_unless_set()
     try:
         started = _now()
         _write_manifest(args.command, started, **args.func(args))

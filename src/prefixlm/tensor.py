@@ -219,6 +219,7 @@ def relu(a: Tensor) -> Tensor:
 
 def _softmax(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, stabilized by per-row max subtraction.
+    Works in place: overwrites x with the result and returns it.
 
     -inf entries (masked positions) come out exactly 0. A row that is
     entirely -inf has no valid distribution and raises.
@@ -226,10 +227,10 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     m = x.max(axis=-1, keepdims=True)
     if (m == -np.inf).any():
         raise ValueError("softmax: row is entirely -inf (degenerate row)")
-    e = x - m
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    x -= m
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _row_mean(a: np.ndarray) -> np.ndarray:
@@ -341,7 +342,8 @@ def attention(qkv: Tensor, segments, n_heads: int, cache=None) -> Tensor:
     every key and m <= 1 is the causal rule. Hidden scores are set to -inf
     only when some query row has a hidden key. Cached calls are for decoding
     and raise GraphError under a tape. The backward keeps only the softmax
-    weights besides its operand; its query gradient is 0 outside query rows.
+    weights and each head's output besides its operand; its query gradient
+    is 0 outside query rows. The 1/sqrt(d_k) scale is applied to the queries.
     """
     data = qkv.data
     if data.ndim != 2 or data.shape[1] % (3 * n_heads):
@@ -370,16 +372,16 @@ def attention(qkv: Tensor, segments, n_heads: int, cache=None) -> Tensor:
             keys, values, _ = cache
             keys[:, start:s], values[:, start:s] = ks, vs
             ks, vs = keys[:, :s], values[:, :s]
-        qs = q[:, offset + a:offset + b]
+        qs = q[:, offset + a:offset + b] * c  # a Python float takes the queries' dtype
         scores = np.matmul(qs, ks.transpose(0, 2, 1))
-        scores *= c  # a Python float takes the scores' dtype
         if max(m, start + a + 1) < s:  # the first query row has a hidden key
             # key j >= m is hidden from the query at position p when j > p
             np.copyto(scores[..., m:], -np.inf,
                       where=np.arange(m, s) > np.arange(start + a, start + b)[:, None])
         w = _softmax(scores)
-        heads.append(np.matmul(w, vs).transpose(1, 0, 2).reshape(b - a, -1))
-        parts.append((offset, n, offset + a, offset + b, qs, ks, vs, w))
+        o = np.matmul(w, vs)
+        heads.append(o.transpose(1, 0, 2).reshape(b - a, -1))
+        parts.append((offset, n, offset + a, offset + b, qs, ks, vs, w, o))
         offset += n
 
     def bw(g):
@@ -388,16 +390,14 @@ def attention(qkv: Tensor, segments, n_heads: int, cache=None) -> Tensor:
         if cut:
             dq[...] = 0
         r = 0
-        for offset, n, a, b, qs, ks, vs, w in parts:
+        for offset, n, a, b, qs, ks, vs, w, o in parts:
             gs = g[r:r + b - a].reshape(b - a, n_heads, -1).transpose(1, 0, 2)  # [H, b-a, d_k]
             r += b - a
-            dw = np.matmul(gs, vs.transpose(0, 2, 1))
-            # ds = w * (dw - rowsum(dw * w)) * c, in place: fresh [H, b-a, n] buffers page-fault
-            ds = dw
-            ds -= (dw * w).sum(axis=-1, keepdims=True)
+            # ds = w * (dw - rowsum(dw * w)) for dw = gs vs^T; rowsum(dw * w) = rowsum(gs * o)
+            ds = np.matmul(gs, vs.transpose(0, 2, 1))
+            ds -= (gs * o).sum(axis=-1, keepdims=True)
             ds *= w
-            ds *= c
-            dq[:, a:b] = np.matmul(ds, ks)
+            dq[:, a:b] = np.matmul(ds, ks) * c
             dk[:, offset:offset + n] = np.matmul(qs.transpose(0, 2, 1), ds).transpose(0, 2, 1)
             dv[:, offset:offset + n] = np.matmul(w.transpose(0, 2, 1), gs)
         _accumulate(qkv, grad)

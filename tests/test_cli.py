@@ -105,6 +105,62 @@ def test_manifest_records_environment(tmp_path, corpus_file, monkeypatch):
     assert manifest["peak_rss_mb"] > 0
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert manifest["git_revision"] == cli._git_revision(Path(cli.__file__).resolve().parents[2])
+
+
+def test_blas_runs_one_thread_unless_a_thread_variable_is_set(tmp_path, corpus_file):
+    # a run with no thread variable: OpenBLAS would start one thread per core
+    if cli._blas_thread_count() is None:
+        pytest.skip("numpy's bundled OpenBLAS is not found")
+    env = {k: v for k, v in _subprocess_env().items() if k not in cli._BLAS_THREAD_VARS}
+    cases = [({}, 1)] + ([({"OPENBLAS_NUM_THREADS": "2"}, 2)] if os.cpu_count() >= 2 else [])
+    for extra, count in cases:
+        out = tmp_path / "examples.jsonl"
+        subprocess.run([sys.executable, "-m", "prefixlm.cli", "preprocess", "--corpus",
+                        str(corpus_file), "--out", str(out)], env={**env, **extra},
+                       check=True, capture_output=True, timeout=120)
+        manifest = json.loads((tmp_path / "examples.jsonl.manifest.json").read_text())
+        assert manifest["blas_thread_count"] == count, extra
+
+
+def _fake_git(root, head, refs=None, packed=None):
+    """A .git under root holding only HEAD, loose refs {name: text} and packed-refs."""
+    git = root / ".git"
+    git.mkdir()
+    (git / "HEAD").write_text(head)
+    for name, text in (refs or {}).items():
+        (git / name).parent.mkdir(parents=True, exist_ok=True)
+        (git / name).write_text(text)
+    if packed is not None:
+        (git / "packed-refs").write_text(packed)
+    return root
+
+
+SHA, OTHER_SHA = "0123456789abcdef0123456789abcdef01234567", "f" * 40
+
+
+def test_git_revision_of_a_detached_head(tmp_path):
+    assert cli._git_revision(_fake_git(tmp_path, SHA + "\n")) == SHA
+
+
+def test_git_revision_through_a_loose_ref(tmp_path):
+    # a loose ref file wins over a stale packed line
+    root = _fake_git(tmp_path, "ref: refs/heads/main\n", {"refs/heads/main": SHA + "\n"},
+                     f"{OTHER_SHA} refs/heads/main\n")
+    assert cli._git_revision(root) == SHA
+
+
+def test_git_revision_through_packed_refs(tmp_path):
+    packed = (f"# pack-refs with: peeled fully-peeled sorted\n{OTHER_SHA} refs/heads/dev\n"
+              f"{SHA} refs/heads/main\n^{OTHER_SHA}\n")
+    root = _fake_git(tmp_path, "ref: refs/heads/main\n", packed=packed)
+    assert cli._git_revision(root) == SHA
+
+
+def test_git_revision_is_null_without_git_or_commit(tmp_path):
+    assert cli._git_revision(tmp_path) is None  # an installed package: no .git
+    # a branch with no commit yet: no loose ref and no packed-refs
+    assert cli._git_revision(_fake_git(tmp_path, "ref: refs/heads/main\n")) is None
 
 
 def test_manifest_blas_thread_count_is_null_without_a_getter(tmp_path, corpus_file,
@@ -642,14 +698,17 @@ def test_finetune_killed_then_rerun_matches_uninterrupted(tmp_path, corpus_file,
 # checkpoint 4 (fsync 5, replace 3, fsync 6). Each case SIGKILLs the run as the
 # k-th call of one of them begins, and names what the kill leaves: the
 # checkpoint's step (None: no checkpoint), the temp file and the logged rows.
-@pytest.mark.parametrize("function, k, step, tmp, rows", [
-    ("replace", 1, None, "loss.csv.tmp", None),  # inside the cut, at a fresh start
-    ("replace", 3, 2, "ck.bin.tmp", 4),  # checkpoint 4 fsynced, not renamed
-    ("fsync", 5, 2, "ck.bin.tmp", 4),  # checkpoint 4 written, not fsynced
-    ("fsync", 6, 4, None, 4),  # checkpoint 4 renamed, its directory not fsynced
-], ids=["replace-1", "replace-3", "fsync-5", "fsync-6"])
+# A list of kills kills each rerun in turn: on a resume from checkpoint 4 the
+# loss-log cut (fsync 1, replace 1) keeps rows 1-4.
+@pytest.mark.parametrize("kills, step, tmp, rows", [
+    ([("replace", 1)], None, "loss.csv.tmp", None),  # inside the cut, at a fresh start
+    ([("replace", 3)], 2, "ck.bin.tmp", 4),  # checkpoint 4 fsynced, not renamed
+    ([("fsync", 5)], 2, "ck.bin.tmp", 4),  # checkpoint 4 written, not fsynced
+    ([("fsync", 6)], 4, None, 4),  # checkpoint 4 renamed, its directory not fsynced
+    ([("fsync", 6), ("replace", 1)], 4, "loss.csv.tmp", 4),  # inside a resume's cut
+], ids=["replace-1", "replace-3", "fsync-5", "fsync-6", "fsync-6-then-replace-1"])
 def test_finetune_killed_at_a_write_boundary_then_rerun_matches(tmp_path, corpus_file,
-                                                                function, k, step, tmp, rows):
+                                                                kills, step, tmp, rows):
     _, examples = _preprocess(tmp_path, corpus_file)
     _, vocab, merges = _train_tokenizer(tmp_path, examples)
     cfg = _write_config(tmp_path, examples, vocab, merges, steps=6)
@@ -657,23 +716,25 @@ def test_finetune_killed_at_a_write_boundary_then_rerun_matches(tmp_path, corpus
     argv = ["finetune", "--config", str(cfg)]
     script = ("import os, signal, sys\n"
               "from prefixlm.cli import main\n"
-              f"real, calls = os.{function}, 0\n"
+              "function, k = sys.argv[1], int(sys.argv[2])\n"
+              "real, calls = getattr(os, function), 0\n"
               "def kill_on_kth_call(*args):\n"
               "    global calls\n"
               "    calls += 1\n"
-              f"    if calls == {k}:\n"
+              "    if calls == k:\n"
               "        os.kill(os.getpid(), signal.SIGKILL)\n"
               "    return real(*args)\n"
-              f"os.{function} = kill_on_kth_call\n"
-              "sys.exit(main(sys.argv[1:]))\n")
+              "setattr(os, function, kill_on_kth_call)\n"
+              "sys.exit(main(sys.argv[3:]))\n")
     for run_name in ("straight", "killed"):
         run = tmp_path / run_name
         _set_key(cfg, "checkpoint_path", run / "ck.bin")
         _set_key(cfg, "loss_log", run / "loss.csv")
         if run_name == "killed":
-            proc = subprocess.run([sys.executable, "-c", script, *argv], env=_subprocess_env(),
-                                  capture_output=True, timeout=120)
-            assert proc.returncode == -signal.SIGKILL, proc.stderr
+            for function, k in kills:
+                proc = subprocess.run([sys.executable, "-c", script, function, str(k), *argv],
+                                      env=_subprocess_env(), capture_output=True, timeout=120)
+                assert proc.returncode == -signal.SIGKILL, proc.stderr
             ck, log = run / "ck.bin", run / "loss.csv"
             assert (read_tensor_map(ck)[1] if ck.exists() else None) == step
             assert [p.name for p in run.glob("*.tmp")] == ([tmp] if tmp else [])

@@ -548,15 +548,16 @@ def _segments(draw):
     return segments
 
 
-@given(st.integers(0, 2**32 - 1), _segments(), st.sampled_from([1, 2]))
+@given(st.integers(0, 2**32 - 1), _segments(), st.sampled_from([1, 2]), st.sampled_from([4, 6]))
 @settings(max_examples=60, deadline=None)
-def test_attention_matches_dense_mask_oracle(seed, segments, n_heads):
+def test_attention_matches_dense_mask_oracle(seed, segments, n_heads, d_k):
     # float64: the prefix rule of each segment's source length gives the
     # output and qkv gradient of the per-head oracle, run per segment on the
-    # dense prefix mask of max(m, 1) (m = 0 and m = 1 are both causal)
+    # dense prefix mask of max(m, 1) (m = 0 and m = 1 are both causal); at
+    # d_k = 6 the scale 1/sqrt(d_k) is not a power of two
     rng = np.random.default_rng(seed)
     t = sum(n for n, _, _ in segments)
-    qkv = rng.normal(size=(t, 3 * 4 * n_heads))
+    qkv = rng.normal(size=(t, 3 * d_k * n_heads))
     leaf = t64(qkv)
     ref_leaf = t64(qkv)
     with ComputationTape():
@@ -576,6 +577,27 @@ def test_attention_matches_dense_mask_oracle(seed, segments, n_heads):
             offset, r = offset + n, r + b - a
         backward(loss)
     np.testing.assert_allclose(leaf.grad, ref_leaf.grad, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rows", [(0, 300), (250, 300)])
+def test_float32_attention_at_the_workload_shape_matches_float64_oracle(rows):
+    # one 300-row segment with a 250-token source and 4 heads of width 16, the
+    # shape of a training example: the float32 output and qkv gradient lie
+    # within 1e-5 of the largest absolute value of the float64 oracle's
+    a, b = rows
+    rng = np.random.default_rng(300)
+    qkv = rng.normal(size=(300, 192)).astype(np.float32)
+    w = rng.normal(size=(b - a, 64)).astype(np.float32)
+    leaf, ref_leaf = Tensor(qkv), t64(qkv)
+    with ComputationTape():
+        out = attention(leaf, [(300, 250, rows)], 4)
+        backward(sum_all(mul(out, Tensor(w))))
+    with ComputationTape():
+        ref = slice_rows(reference_attention(ref_leaf, build_prefix_mask(250, 50), 4), [rows])
+        backward(sum_all(mul(ref, t64(w))))
+    for got, want in ((out.data, ref.data), (leaf.grad, ref_leaf.grad)):
+        assert got.dtype == np.float32
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.data())
@@ -656,5 +678,5 @@ def test_float64_preserved():
 def test_forward_values_finite_on_finite_inputs():
     rng = np.random.default_rng(0)
     x = t64(rng.normal(size=(4, 4)) * 50)
-    for out in (_softmax(x.data), relu(x).data):
+    for out in (_softmax(x.data.copy()), relu(x).data):  # _softmax overwrites its argument
         assert np.all(np.isfinite(out))
